@@ -92,8 +92,8 @@ std::vector<SweepResult> RunPruneSweep(const PruneFixture& fx, int runs) {
     SweepResult r;
     r.threads = threads;
     r.sec = TimeAvg(runs, [&] {
-      // CoW snapshots: O(rows) handle bumps, so copy cost is noise next to
-      // the fixpoint and identical across thread counts.
+      // CoW snapshots: O(populated rows) handle bumps, so copy cost is
+      // noise next to the fixpoint and identical across thread counts.
       std::vector<TpState> states = fx.base_states;
       PruneTriples(fx.order, fx.gosn, fx.goj, fx.num_common, &states, &ctx,
                    &pool);

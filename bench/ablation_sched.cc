@@ -102,7 +102,7 @@ SchedFixture BuildFixture(const Graph& graph, const TripleIndex& index,
 
 std::vector<TpState> PruneOnce(const SchedFixture& fx, SemiJoinSched sched,
                                ThreadPool* pool, ExecContext* ctx) {
-  // CoW snapshots: O(rows) handle bumps, identical across modes.
+  // CoW snapshots: O(populated rows) handle bumps, identical across modes.
   std::vector<TpState> states = fx.base_states;
   PruneTriples(fx.order, fx.gosn, fx.goj, fx.num_common, &states, ctx, pool,
                sched);

@@ -30,13 +30,9 @@ uint32_t RowGrain(uint32_t num_rows, int slots) {
   return (grain + 63) & ~63u;
 }
 
-bool ShouldParallelize(const ThreadPool* pool, const Bitvector& populated) {
-  // Pool checks first: the popcount is only paid when a pool is actually
-  // in play, so the (common) single-threaded configuration keeps its old
-  // cost profile exactly.
+bool ShouldParallelize(const ThreadPool* pool, size_t populated) {
   return pool != nullptr && pool->num_workers() > 0 &&
-         !ThreadPool::InParallelRegion() &&
-         populated.Count() >= kParallelRowThreshold;
+         !ThreadPool::InParallelRegion() && populated >= kParallelRowThreshold;
 }
 
 /// Calls fn(i) for every set bit of `bits` in [begin, end), in order.
@@ -65,10 +61,16 @@ void ForEachSetBitInRange(const Bitvector& bits, uint32_t begin, uint32_t end,
 }  // namespace
 
 BitMat::BitMat(uint32_t num_rows, uint32_t num_cols)
-    : num_rows_(num_rows),
-      num_cols_(num_cols),
-      rows_(num_rows),
-      non_empty_rows_(num_rows) {}
+    : num_rows_(num_rows), num_cols_(num_cols), non_empty_rows_(num_rows) {}
+
+void BitMat::FillRankDirectory(const std::vector<uint64_t>& words,
+                               std::vector<uint32_t>* dir) {
+  uint32_t total = 0;
+  for (size_t w = 0; w < dir->size(); ++w) {
+    (*dir)[w] = total;
+    total += static_cast<uint32_t>(__builtin_popcountll(words[w]));
+  }
+}
 
 void BitMat::SetRow(uint32_t r, const std::vector<uint32_t>& positions) {
   SetRow(r, CompressedRow::FromPositions(positions));
@@ -83,11 +85,39 @@ void BitMat::SetRow(uint32_t r, CompressedRow row) {
 void BitMat::SetRowShared(uint32_t r, RowHandle row) {
   assert(r < num_rows_);
   if (row != nullptr && row->IsEmpty()) row = nullptr;
-  if (rows_[r] != nullptr) count_ -= rows_[r]->Count();
-  rows_[r] = std::move(row);
-  if (rows_[r] != nullptr) count_ += rows_[r]->Count();
-  non_empty_rows_.Set(r, rows_[r] != nullptr);
   Touch();
+  const size_t w = r >> 6;
+  const uint32_t idx = RankOf(r);
+  if (non_empty_rows_.Get(r)) {
+    count_ -= rows_[idx]->Count();
+    if (row != nullptr) {
+      count_ += row->Count();
+      rows_[idx] = std::move(row);
+      return;
+    }
+    // Removal: close the slot and shift the later words' prefix counts.
+    rows_.erase(rows_.begin() + idx);
+    non_empty_rows_.Set(r, false);
+    for (size_t v = w + 1; v < rank_.size(); ++v) --rank_[v];
+    return;
+  }
+  if (row == nullptr) return;
+  count_ += row->Count();
+  non_empty_rows_.Set(r, true);
+  if (w >= rank_.size()) {
+    // Past every populated row: the ascending-build append. The new words'
+    // prefix is every row populated so far. Growth doubles but never past
+    // one entry per word.
+    if (w >= rank_.capacity()) {
+      rank_.reserve(std::min(std::max(2 * rank_.capacity(), w + 1),
+                             non_empty_rows_.words().size()));
+    }
+    rank_.resize(w + 1, static_cast<uint32_t>(rows_.size()));
+    rows_.push_back(std::move(row));
+    return;
+  }
+  rows_.insert(rows_.begin() + idx, std::move(row));
+  for (size_t v = w + 1; v < rank_.size(); ++v) ++rank_[v];
 }
 
 Bitvector BitMat::Fold(Dim retain) const {
@@ -150,25 +180,24 @@ void BitMat::FoldInto(Dim retain, Bitvector* out, ExecContext* ctx,
 void BitMat::ComputeColFoldInto(Bitvector* out, ThreadPool* pool) const {
   out->Resize(num_cols_);
   out->Clear();
-  if (!ShouldParallelize(pool, non_empty_rows_)) {
-    // Only non-empty rows contribute; each ORs in word-at-a-time.
-    non_empty_rows_.ForEachSetBit(
-        [this, out](uint32_t r) { rows_[r]->OrInto(out); });
+  if (!ShouldParallelize(pool, rows_.size())) {
+    // Only populated rows have slots; each ORs in word-at-a-time.
+    for (const RowHandle& row : rows_) row->OrInto(out);
     return;
   }
-  // Sharded fold: each chunk ORs its rows into a slot-local partial from
-  // the worker's arena, then merges into `out` word-wide under a mutex.
-  // Workers only read immutable row payload through the shared handles.
+  // Sharded fold over the populated slots: each chunk ORs its rows into a
+  // slot-local partial from the worker's arena, then merges into `out`
+  // word-wide under a mutex. Workers only read immutable row payload
+  // through the shared handles.
   std::mutex merge_mu;
-  uint32_t grain = RowGrain(num_rows_, pool->num_slots());
+  const uint32_t populated = static_cast<uint32_t>(rows_.size());
+  uint32_t grain = RowGrain(populated, pool->num_slots());
   pool->ParallelFor(
-      0, num_rows_, grain,
+      0, populated, grain,
       [this, out, &merge_mu](uint32_t begin, uint32_t end, ExecContext* ctx,
                              int /*slot*/) {
         ScratchBits partial(ctx, num_cols_);
-        ForEachSetBitInRange(non_empty_rows_, begin, end, [&](uint32_t r) {
-          rows_[r]->OrInto(partial.get());
-        });
+        for (uint32_t i = begin; i < end; ++i) rows_[i]->OrInto(partial.get());
         std::lock_guard<std::mutex> lk(merge_mu);
         out->Or(*partial);
       });
@@ -198,109 +227,137 @@ BitMat::RowHandle BitMat::MaskedRow(const RowHandle& row,
 void BitMat::Unfold(const Bitvector& mask, Dim retain, ExecContext* ctx,
                     ThreadPool* pool) {
   // Per-row-range masking step, shared by the serial and sharded paths.
-  // Returns the count of removed bits in [begin, end) and records whether
-  // anything changed. Writes only rows_[r] / non-empty bits inside the
-  // range, so 64-aligned disjoint ranges never share a word.
+  // `begin` is 0 or 64-aligned, so the range's first slot is a directory
+  // entry and disjoint ranges never share a non-empty-row word or a slot.
+  // Returns the count of removed bits in [begin, end) — nonzero exactly
+  // when a row changed — and records whether a row emptied; an emptied
+  // row's handle is nulled in place (compacted once after the pass).
   // Iteration walks only the populated rows of the range (word scan of
-  // non_empty_rows_); mutating the bit at the row just visited is safe
+  // non_empty_rows_); clearing the bit of the row just visited is safe
   // because each word is captured before its bits are yielded.
   auto unfold_range = [this, &mask, retain](uint32_t begin, uint32_t end,
                                             std::vector<uint32_t>* scratch,
-                                            bool* range_changed) -> uint64_t {
+                                            bool* range_emptied) -> uint64_t {
     uint64_t removed = 0;
-    if (retain == Dim::kRow) {
-      // Clear entire rows whose mask bit is 0 — a handle drop, no payload
-      // walk; surviving rows stay shared.
-      ForEachSetBitInRange(non_empty_rows_, begin, end, [&](uint32_t r) {
-        if (r >= mask.size() || !mask.Get(r)) {
-          removed += rows_[r]->Count();
-          rows_[r] = nullptr;
-          non_empty_rows_.Set(r, false);
-          *range_changed = true;
-        }
-      });
-    } else {
-      // AND every row with the mask. A row that loses no bit keeps its
-      // shared handle (aliased copies are untouched); a changed row is
-      // re-encoded into a fresh handle from pooled scratch (MaskedRow, the
-      // shared CoW masking step).
-      ForEachSetBitInRange(non_empty_rows_, begin, end, [&](uint32_t r) {
-        RowHandle masked = MaskedRow(rows_[r], mask, scratch);
-        if (masked == rows_[r]) return;  // no bit dropped
-        removed += rows_[r]->Count();
-        rows_[r] = std::move(masked);
-        if (rows_[r] != nullptr) removed -= rows_[r]->Count();
-        non_empty_rows_.Set(r, rows_[r] != nullptr);
-        *range_changed = true;
-      });
-    }
+    const size_t w0 = begin >> 6;
+    size_t i = w0 < rank_.size() ? rank_[w0] : rows_.size();
+    ForEachSetBitInRange(non_empty_rows_, begin, end, [&](uint32_t r) {
+      RowHandle& slot = rows_[i++];
+      // kRow clears entire rows whose mask bit is 0 — a handle drop, no
+      // payload walk. kCol ANDs every row with the mask: a row that loses
+      // no bit keeps its shared handle (aliased copies are untouched); a
+      // changed row is re-encoded into a fresh handle from pooled scratch
+      // (MaskedRow, the shared CoW masking step).
+      RowHandle masked;
+      if (retain == Dim::kRow) {
+        if (r < mask.size() && mask.Get(r)) return;
+      } else {
+        masked = MaskedRow(slot, mask, scratch);
+        if (masked == slot) return;  // no bit dropped
+      }
+      removed += slot->Count();
+      if (masked != nullptr) {
+        removed -= masked->Count();
+      } else {
+        non_empty_rows_.Set(r, false);
+        *range_emptied = true;
+      }
+      slot = std::move(masked);
+    });
     return removed;
   };
 
-  bool changed = false;
+  // No populated row lies in a word past the directory.
+  const uint32_t end = static_cast<uint32_t>(
+      std::min<uint64_t>(num_rows_, uint64_t{rank_.size()} << 6));
+  bool emptied = false;
   uint64_t removed = 0;
-  if (!ShouldParallelize(pool, non_empty_rows_)) {
+  if (!ShouldParallelize(pool, rows_.size())) {
     ScratchPositions scratch(ctx);
-    removed = unfold_range(0, num_rows_, scratch.get(), &changed);
+    removed = unfold_range(0, end, scratch.get(), &emptied);
   } else {
-    // 64-aligned chunks: each non-empty-row word is written by at most one
-    // worker; rows_[] writes are disjoint by range; the count delta is
-    // merged through an atomic.
+    // 64-aligned chunks: each non-empty-row word and each slot is written
+    // by at most one worker; the count delta is merged through an atomic.
     std::atomic<uint64_t> removed_total{0};
-    std::atomic<bool> any_changed{false};
-    uint32_t grain = RowGrain(num_rows_, pool->num_slots());
+    std::atomic<bool> any_emptied{false};
+    uint32_t grain = RowGrain(end, pool->num_slots());
     pool->ParallelFor(
-        0, num_rows_, grain,
-        [&unfold_range, &removed_total, &any_changed](
-            uint32_t begin, uint32_t end, ExecContext* chunk_ctx,
+        0, end, grain,
+        [&unfold_range, &removed_total, &any_emptied](
+            uint32_t begin, uint32_t chunk_end, ExecContext* chunk_ctx,
             int /*slot*/) {
           ScratchPositions scratch(chunk_ctx);
-          bool range_changed = false;
-          uint64_t r = unfold_range(begin, end, scratch.get(), &range_changed);
+          bool range_emptied = false;
+          uint64_t r =
+              unfold_range(begin, chunk_end, scratch.get(), &range_emptied);
           if (r != 0) removed_total.fetch_add(r, std::memory_order_relaxed);
-          if (range_changed) {
-            any_changed.store(true, std::memory_order_relaxed);
+          if (range_emptied) {
+            any_emptied.store(true, std::memory_order_relaxed);
           }
         },
         ctx);
     removed = removed_total.load();
-    changed = any_changed.load();
+    emptied = any_emptied.load();
+  }
+  if (emptied) {
+    // One compaction + directory rebuild on the calling thread.
+    rows_.erase(std::remove(rows_.begin(), rows_.end(), nullptr),
+                rows_.end());
+    FillRankDirectory(non_empty_rows_.words(), &rank_);
   }
   count_ -= removed;
-  if (changed) Touch();
+  if (removed != 0) Touch();
 }
 
 BitMat BitMat::Transposed() const {
-  // Bucket the set bits by column, then compress each bucket.
-  std::vector<std::vector<uint32_t>> cols(num_cols_);
-  ForEachBit([&cols](uint32_t r, uint32_t c) { cols[c].push_back(r); });
+  // Bucket the set bits by column — only the populated columns get a
+  // bucket: a counting sort into one flat position array, addressed
+  // through a rank directory over the column fold. Rows are visited
+  // ascending, so every bucket comes out sorted.
+  Bitvector cols;
+  ComputeColFoldInto(&cols);
+  std::vector<uint32_t> col_rank(cols.words().size());
+  FillRankDirectory(cols.words(), &col_rank);
+  const uint32_t populated = static_cast<uint32_t>(cols.Count());
+  auto bucket = [&](uint32_t c) { return RankIn(col_rank, cols.words(), c); };
+  std::vector<uint32_t> start(populated + 1, 0);
+  ForEachBit([&](uint32_t, uint32_t c) { ++start[bucket(c) + 1]; });
+  for (uint32_t b = 0; b < populated; ++b) start[b + 1] += start[b];
+  std::vector<uint32_t> flat(count_);
+  std::vector<uint32_t> fill(start.begin(), start.end() - 1);
+  ForEachBit([&](uint32_t r, uint32_t c) { flat[fill[bucket(c)]++] = r; });
+
   BitMat t(num_cols_, num_rows_);
-  for (uint32_t c = 0; c < num_cols_; ++c) {
-    if (!cols[c].empty()) t.SetRow(c, cols[c]);
-  }
+  t.rows_.reserve(populated);
+  std::vector<uint32_t> positions;
+  uint32_t b = 0;
+  cols.ForEachSetBit([&](uint32_t c) {
+    positions.assign(flat.begin() + start[b], flat.begin() + start[b + 1]);
+    t.SetRow(c, positions);
+    ++b;
+  });
   return t;
 }
 
 void BitMat::AppendColumnPositions(uint32_t c,
                                    std::vector<uint32_t>* out) const {
-  non_empty_rows_.ForEachSetBit([this, c, out](uint32_t r) {
-    if (rows_[r]->Test(c)) out->push_back(r);
+  ForEachRow([c, out](uint32_t r, const CompressedRow& row) {
+    if (row.Test(c)) out->push_back(r);
   });
 }
 
 BitMat BitMat::DeepCopy() const {
   BitMat out(num_rows_, num_cols_);
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    if (rows_[r] != nullptr) out.SetRow(r, CompressedRow(*rows_[r]));
-  }
+  out.rows_.reserve(rows_.size());
+  ForEachRow([&out](uint32_t r, const CompressedRow& row) {
+    out.SetRow(r, CompressedRow(row));
+  });
   return out;
 }
 
 size_t BitMat::PayloadBytes() const {
   size_t bytes = 0;
-  for (const RowHandle& r : rows_) {
-    if (r != nullptr) bytes += r->PayloadBytes();
-  }
+  for (const RowHandle& r : rows_) bytes += r->PayloadBytes();
   return bytes;
 }
 
@@ -308,16 +365,12 @@ void BitMat::WriteTo(std::ostream* out) const {
   out->write(reinterpret_cast<const char*>(&num_rows_), sizeof(num_rows_));
   out->write(reinterpret_cast<const char*>(&num_cols_), sizeof(num_cols_));
   // Only non-empty rows are written: (row_index, row) pairs.
-  uint32_t non_empty = 0;
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    if (rows_[r] != nullptr) ++non_empty;
-  }
+  uint32_t non_empty = static_cast<uint32_t>(rows_.size());
   out->write(reinterpret_cast<const char*>(&non_empty), sizeof(non_empty));
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    if (rows_[r] == nullptr) continue;
+  ForEachRow([out](uint32_t r, const CompressedRow& row) {
     out->write(reinterpret_cast<const char*>(&r), sizeof(r));
-    rows_[r]->WriteTo(out);
-  }
+    row.WriteTo(out);
+  });
 }
 
 BitMat BitMat::ReadFrom(std::istream* in) {
@@ -339,12 +392,12 @@ bool BitMat::operator==(const BitMat& other) const {
       count_ != other.count_) {
     return false;
   }
-  for (uint32_t r = 0; r < num_rows_; ++r) {
-    const RowHandle& a = rows_[r];
-    const RowHandle& b = other.rows_[r];
-    if (a == b) continue;  // same handle (or both empty)
-    if (a == nullptr || b == nullptr) return false;
-    if (*a != *b) return false;
+  if (non_empty_rows_ != other.non_empty_rows_) return false;
+  // Same populated rows, so the slots correspond one to one.
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    const RowHandle& a = rows_[i];
+    const RowHandle& b = other.rows_[i];
+    if (a != b && *a != *b) return false;  // same handle: equal
   }
   return true;
 }

@@ -32,10 +32,20 @@ enum class Dim : uint8_t {
 ///  - unfold(BM, mask, dim) == clear every bit whose `dim` coordinate is 0
 ///                      in the mask (the semi-join step).
 ///
+/// Storage (DESIGN.md §4): only *populated* rows own a slot. `rows_` holds
+/// their handles in ascending row order, addressed through the non-empty-row
+/// bit array plus a rank directory of one prefix count per 64-bit word, so
+/// `Row`, `SharedRow` and `Test` are O(1) (bit test, directory lookup,
+/// popcount). An empty n-row matrix costs only its n/64 metadata words, and
+/// building one with ascending `SetRow` calls — every loader, the TP cache's
+/// copy-out, `Transposed`, `ReadFrom` — appends in O(1) amortized. Inserts
+/// and removals out of row order cost O(populated + n/64).
+///
 /// Ownership model (DESIGN.md §4): rows are shared **immutable** handles
-/// (`RowHandle`). Copying a BitMat is O(rows) refcount bumps, and mutating
-/// ops (`SetRow`, `Unfold`) replace only the handles of rows they actually
-/// change — a copy-on-write discipline that makes TpCache hits near-free.
+/// (`RowHandle`). Copying a BitMat is O(populated rows) refcount bumps (plus
+/// the metadata words), and mutating ops (`SetRow`, `Unfold`) replace only
+/// the handles of rows they actually change — a copy-on-write discipline
+/// that makes TpCache hits near-free.
 /// Every bit-changing op bumps `version()`; a per-matrix column-fold cache
 /// stamped with the version lets `FoldInto(kCol)` return the memoized fold
 /// without row iteration while the matrix is unchanged.
@@ -45,9 +55,10 @@ enum class Dim : uint8_t {
 /// which writes the mutable fold memo under const — are safe: the memo is
 /// published through a per-version atomic once-flag (DESIGN.md §7), so any
 /// number of threads may fold one matrix at a time, as the wave scheduler's
-/// shared-master semi-joins do. A writer must still be the only thread
-/// touching the matrix (the scheduler's conflict rule guarantees it), and
-/// the writer/reader handover needs external synchronization (the wave
+/// shared-master semi-joins do; no const method writes the row slots or
+/// the rank directory. A writer must still be the only thread touching the
+/// matrix (the scheduler's conflict rule guarantees it), and the
+/// writer/reader handover needs external synchronization (the wave
 /// barrier). Sharing row payload across thread-confined BitMat copies is
 /// safe (handles are immutable and refcounts are atomic).
 class BitMat {
@@ -69,6 +80,9 @@ class BitMat {
   bool IsEmpty() const { return count_ == 0; }
 
   /// Replaces row `r`. `positions` must be sorted, duplicate-free, < cols.
+  /// O(1) amortized when `r` is past every populated row (ascending
+  /// builds), O(populated + num_rows/64) when it inserts or removes a row
+  /// in the middle.
   void SetRow(uint32_t r, const std::vector<uint32_t>& positions);
   /// Replaces row `r` with an already-compressed row.
   void SetRow(uint32_t r, CompressedRow row);
@@ -77,19 +91,24 @@ class BitMat {
   /// braced position list never overload-resolves against shared_ptr.
   void SetRowShared(uint32_t r, RowHandle row);
 
+  /// Row `r` (a shared empty row when unpopulated). Precondition:
+  /// r < num_rows().
   const CompressedRow& Row(uint32_t r) const {
     static const CompressedRow kEmptyRow;
-    return rows_[r] != nullptr ? *rows_[r] : kEmptyRow;
+    return non_empty_rows_.Get(r) ? *rows_[RankOf(r)] : kEmptyRow;
   }
   /// The shared handle of row `r` (null when empty). Lets callers alias the
   /// row into another BitMat without copying payload.
-  const RowHandle& SharedRow(uint32_t r) const { return rows_[r]; }
+  const RowHandle& SharedRow(uint32_t r) const {
+    static const RowHandle kNullRow;
+    return non_empty_rows_.Get(r) ? rows_[RankOf(r)] : kNullRow;
+  }
 
   /// Bit test at (r, c). Out-of-range coordinates (either dimension) are
   /// false, not UB.
   bool Test(uint32_t r, uint32_t c) const {
-    return r < num_rows_ && c < num_cols_ && rows_[r] != nullptr &&
-           rows_[r]->Test(c);
+    return r < num_rows_ && c < num_cols_ && non_empty_rows_.Get(r) &&
+           rows_[RankOf(r)]->Test(c);
   }
 
   /// Monotonically increasing mutation stamp: bumped by every op that
@@ -150,11 +169,14 @@ class BitMat {
   /// of this matrix stay aliased to them); only changed rows are re-encoded
   /// into fresh handles, through pooled `ctx` scratch when given.
   ///
+  /// Rows that empty are dropped from the populated-row storage; the
+  /// compaction and rank-directory rebuild run once, after the pass.
+  ///
   /// With a `pool`, the per-row masking is sharded across workers in
-  /// 64-row-aligned chunks (so the non-empty-row bit array's words are
-  /// never shared between workers); each chunk masks through its worker's
-  /// own scratch arena. The count/version bookkeeping is merged on the
-  /// calling thread.
+  /// 64-row-aligned chunks (so the non-empty-row bit array's words and the
+  /// row slots are never shared between workers); each chunk masks through
+  /// its worker's own scratch arena. The count/version bookkeeping and the
+  /// compaction run on the calling thread.
   void Unfold(const Bitvector& mask, Dim retain, ExecContext* ctx = nullptr,
               ThreadPool* pool = nullptr);
 
@@ -163,7 +185,9 @@ class BitMat {
   const Bitvector& NonEmptyRows() const { return non_empty_rows_; }
 
   /// Returns the transpose (rows<->cols). Used when the multi-way join needs
-  /// column-keyed access to a TP whose BitMat is row-oriented.
+  /// column-keyed access to a TP whose BitMat is row-oriented. Costs
+  /// O(set bits + num_rows/64 + num_cols/64): only populated columns get a
+  /// bucket.
   BitMat Transposed() const;
 
   /// Appends the (ascending) row indexes whose bit in column `c` is set —
@@ -186,10 +210,9 @@ class BitMat {
   /// Calls fn(row, col) for every set bit in row-major order.
   template <typename Fn>
   void ForEachBit(Fn&& fn) const {
-    for (uint32_t r = 0; r < num_rows_; ++r) {
-      if (rows_[r] == nullptr) continue;
-      rows_[r]->ForEachSetBit([&fn, r](uint32_t c) { fn(r, c); });
-    }
+    ForEachRow([&fn](uint32_t r, const CompressedRow& row) {
+      row.ForEachSetBit([&fn, r](uint32_t c) { fn(r, c); });
+    });
   }
 
   /// Payload bytes across all rows (index-size accounting). Shared rows are
@@ -208,6 +231,33 @@ class BitMat {
   /// across `pool` when given and the matrix is large enough to pay.
   void ComputeColFoldInto(Bitvector* out, ThreadPool* pool = nullptr) const;
 
+  /// Set bits of `words` below bit `i`, read through the prefix counts
+  /// `dir` (dir[w] = set bits in words [0, w)), which must cover i's word.
+  static uint32_t RankIn(const std::vector<uint32_t>& dir,
+                         const std::vector<uint64_t>& words, uint32_t i) {
+    uint64_t below = words[i >> 6] & ((uint64_t{1} << (i & 63)) - 1);
+    return dir[i >> 6] + static_cast<uint32_t>(__builtin_popcountll(below));
+  }
+  /// Fills (*dir)[w] = set bits of `words` in [0, w) for w < dir->size().
+  static void FillRankDirectory(const std::vector<uint64_t>& words,
+                                std::vector<uint32_t>* dir);
+
+  /// Index into `rows_` of row `r`'s slot: the number of populated rows
+  /// before `r`. Exact for populated rows and for the insert position of
+  /// an unpopulated one.
+  uint32_t RankOf(uint32_t r) const {
+    if ((r >> 6) >= rank_.size()) return static_cast<uint32_t>(rows_.size());
+    return RankIn(rank_, non_empty_rows_.words(), r);
+  }
+
+  /// Calls fn(r, row) for every populated row, ascending.
+  template <typename Fn>
+  void ForEachRow(Fn&& fn) const {
+    size_t i = 0;
+    non_empty_rows_.ForEachSetBit(
+        [this, &fn, &i](uint32_t r) { fn(r, *rows_[i++]); });
+  }
+
   /// Records a bit-content change: bumps the version, drops the fold memo,
   /// and resets its once-flag to kIdle. Mutation requires exclusive
   /// ownership (no concurrent reader — the scheduler's conflict rule), so
@@ -223,8 +273,17 @@ class BitMat {
   uint32_t num_cols_ = 0;
   uint64_t count_ = 0;
   uint64_t version_ = 0;
+  /// Populated rows' handles (never null outside an Unfold pass), in
+  /// ascending row order; row r's handle is rows_[RankOf(r)].
   std::vector<RowHandle> rows_;
+  /// Bit r set <=> row r is populated. Its words are the rank directory's
+  /// per-word bitmaps.
   Bitvector non_empty_rows_;
+  /// Rank directory: rank_[w] = populated rows in words [0, w). Grown only
+  /// as far as the highest populated row's word (at most one entry per
+  /// word), so an empty matrix has none; no populated row lies in a word
+  /// >= rank_.size().
+  std::vector<uint32_t> rank_;
 
   /// Memoized column fold behind a per-version atomic once-flag
   /// (DESIGN.md §7). The state machine encodes the second-touch policy:

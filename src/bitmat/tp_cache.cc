@@ -29,8 +29,8 @@ std::string VarForKind(const TriplePattern& tp, DomainKind kind) {
 }
 
 // A snapshot with the caller's variable names re-derived from the cached
-// dimension kinds (the key normalizes names away). O(rows) handle bumps,
-// no payload copy.
+// dimension kinds (the key normalizes names away). O(populated rows)
+// handle bumps, no payload copy.
 TpBitMat SnapshotFor(const TpBitMat& cached, const TriplePattern& tp) {
   TpBitMat copy = cached;
   copy.row_var = VarForKind(tp, copy.row_kind);
@@ -38,21 +38,22 @@ TpBitMat SnapshotFor(const TpBitMat& cached, const TriplePattern& tp) {
   return copy;
 }
 
-// Approximate heap bytes of a cached TpBitMat: handle-vector storage plus
-// the owned payload of every non-empty row. Rows that are zero-copy views
-// into a mapped snapshot own nothing and cost only their handle — exactly
-// the marginal heap the entry pins, which is what the shared meter tracks.
+}  // namespace
+
 uint64_t TpBitMatHeapBytes(const TpBitMat& t) {
+  // Metadata: one non-empty-row word and at most one rank-directory entry
+  // per 64 rows.
+  uint64_t words = t.bm.NonEmptyRows().words().size();
   uint64_t bytes = sizeof(TpBitMat) +
-                   static_cast<uint64_t>(t.bm.num_rows()) *
-                       sizeof(BitMat::RowHandle);
+                   words * (sizeof(uint64_t) + sizeof(uint32_t));
+  // Populated rows: the handle slot, the shared row object and its owned
+  // payload (zero for views into a mapped snapshot).
   t.bm.NonEmptyRows().ForEachSetBit([&](uint32_t r) {
-    bytes += sizeof(CompressedRow) + t.bm.Row(r).OwnedHeapBytes();
+    bytes += sizeof(BitMat::RowHandle) + sizeof(CompressedRow) +
+             t.bm.Row(r).OwnedHeapBytes();
   });
   return bytes;
 }
-
-}  // namespace
 
 TpCache::TpCache(uint64_t triple_budget, size_t num_shards)
     : budget_(triple_budget) {
@@ -143,15 +144,22 @@ TpBitMat TpCache::GetOrLoad(const TripleIndex& index, const Dictionary& dict,
   std::string key = KeyFor(tp, prefer_subject_rows);
   Shard& shard = ShardFor(key);
   std::unique_lock<std::mutex> lk = LockShard(&shard);
-  auto it = shard.entries.find(key);
-  if (it != shard.entries.end()) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    // O(1) LRU touch: relink the node, no allocation or string copy.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    return SnapshotFor(it->second.mat, tp);
+  if (std::shared_ptr<const TpBitMat> hit = FindAndTouch(&shard, key)) {
+    lk.unlock();
+    return SnapshotFor(*hit, tp);
   }
   return LoadAndPublish(&shard, std::move(lk), key, index, dict, tp,
                         prefer_subject_rows);
+}
+
+std::shared_ptr<const TpBitMat> TpCache::FindAndTouch(
+    Shard* shard, const std::string& key) {
+  auto it = shard->entries.find(key);
+  if (it == shard->entries.end()) return nullptr;
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  // O(1) LRU touch: relink the node, no allocation or string copy.
+  shard->lru.splice(shard->lru.begin(), shard->lru, it->second.lru_it);
+  return it->second.mat;
 }
 
 TpBitMat TpCache::LoadAndPublish(Shard* shard,
@@ -169,11 +177,9 @@ TpBitMat TpCache::LoadAndPublish(Shard* shard,
     waited = true;
     flight_waits_.fetch_add(1, std::memory_order_relaxed);
     shard->cv.wait(lk);
-    auto it = shard->entries.find(key);
-    if (it != shard->entries.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      shard->lru.splice(shard->lru.begin(), shard->lru, it->second.lru_it);
-      return SnapshotFor(it->second.mat, tp);
+    if (std::shared_ptr<const TpBitMat> hit = FindAndTouch(shard, key)) {
+      lk.unlock();
+      return SnapshotFor(*hit, tp);
     }
   }
   if (waited) {
@@ -212,11 +218,14 @@ TpBitMat TpCache::LoadAndPublish(Shard* shard,
 
   uint64_t cost = loaded.bm.Count();
   uint64_t bytes = meter_ != nullptr ? TpBitMatHeapBytes(loaded) : 0;
+  std::shared_ptr<const TpBitMat> entry;
+  if (cost <= budget_) entry = std::make_shared<const TpBitMat>(loaded);
   lk.lock();
   shard->loading.erase(key);
-  if (cost <= budget_) {
+  if (entry != nullptr) {
     shard->lru.push_front(key);
-    shard->entries[key] = Entry{loaded, cost, bytes, shard->lru.begin()};
+    shard->entries[key] = Entry{std::move(entry), cost, bytes,
+                                shard->lru.begin()};
     shard->held += cost;
     held_.fetch_add(cost, std::memory_order_relaxed);
     entries_.fetch_add(1, std::memory_order_relaxed);
@@ -238,11 +247,11 @@ TpBitMat TpCache::GetOrLoadMasked(const TripleIndex& index,
   }
   std::string key = KeyFor(tp, prefer_subject_rows);
   Shard& shard = ShardFor(key);
-  TpBitMat snapshot;
+  std::shared_ptr<const TpBitMat> cached;
   {
     std::unique_lock<std::mutex> lk = LockShard(&shard);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
+    cached = FindAndTouch(&shard, key);
+    if (cached == nullptr) {
       // Miss: load masked directly (cheapest) and leave warming to
       // unmasked queries — a masked load is query-specific and never
       // inserted, so it takes no single-flight slot either.
@@ -250,32 +259,34 @@ TpBitMat TpCache::GetOrLoadMasked(const TripleIndex& index,
       lk.unlock();
       return LoadTpBitMat(index, dict, tp, prefer_subject_rows, masks, ctx);
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
-    // Take a plain CoW snapshot under the lock (O(rows) handle bumps) and
-    // run the masking on it outside, keeping the stripe hot.
-    snapshot = SnapshotFor(it->second.mat, tp);
   }
 
+  // Copy-out outside the lock: the entry is immutable and pinned by
+  // `cached`. Only rows in NonEmptyRows() ∧ row_mask are visited (a
+  // word-wise AND), ascending, so every store is an append.
+  const BitMat& src = cached->bm;
   TpBitMat out;
-  out.row_kind = snapshot.row_kind;
-  out.col_kind = snapshot.col_kind;
-  out.row_var = snapshot.row_var;
-  out.col_var = snapshot.col_var;
-  out.bm = BitMat(snapshot.bm.num_rows(), snapshot.bm.num_cols());
+  out.row_kind = cached->row_kind;
+  out.col_kind = cached->col_kind;
+  out.row_var = VarForKind(tp, out.row_kind);
+  out.col_var = VarForKind(tp, out.col_kind);
+  out.bm = BitMat(src.num_rows(), src.num_cols());
   ScratchPositions scratch(ctx);
-  snapshot.bm.NonEmptyRows().ForEachSetBit([&](uint32_t r) {
-    if (masks.row_mask != nullptr &&
-        (r >= masks.row_mask->size() || !masks.row_mask->Get(r))) {
-      return;
-    }
-    const BitMat::RowHandle& row = snapshot.bm.SharedRow(r);
+  auto copy_row = [&](uint32_t r) {
+    const BitMat::RowHandle& row = src.SharedRow(r);
     if (masks.col_mask == nullptr) {
       out.bm.SetRowShared(r, row);  // row survives whole: share the handle
     } else {
       SetRowMaskedShared(r, row, *masks.col_mask, scratch.get(), &out.bm);
     }
-  });
+  };
+  if (masks.row_mask == nullptr) {
+    src.NonEmptyRows().ForEachSetBit(copy_row);
+  } else {
+    ScratchPositions ids(ctx);
+    src.NonEmptyRows().AppendAndSetBits(*masks.row_mask, ids.get());
+    for (uint32_t r : *ids) copy_row(r);
+  }
   return out;
 }
 

@@ -18,6 +18,12 @@
 
 namespace lbr {
 
+/// Approximate heap bytes a TpBitMat pins: its populated rows (handle slot,
+/// row object and owned payload — zero for views into a mapped snapshot)
+/// plus the non-empty-row words and rank directory. The unit TpCache
+/// charges to the snapshot tier's shared memory meter.
+uint64_t TpBitMatHeapBytes(const TpBitMat& t);
+
 /// Sharded LRU cache of unmasked per-TP BitMats, keyed by the pattern text
 /// plus the chosen orientation, safe for concurrent engines.
 ///
@@ -40,8 +46,10 @@ namespace lbr {
 ///  - Hit/miss/contention counters are relaxed atomics: cheap, and
 ///    monotonically non-decreasing from any thread's point of view.
 ///  - Cached entries are immutable once published (their column-fold memo
-///    is warmed *before* insertion), so handing out CoW snapshots under the
-///    shard lock reads only frozen state.
+///    is warmed *before* insertion) and held as `shared_ptr<const
+///    TpBitMat>`: a hit copies that one pointer under the shard lock, and
+///    the snapshot or masked copy-out runs outside it on frozen state the
+///    pointer keeps alive even if the entry is evicted meanwhile.
 ///
 /// Only maskless loads are inserted (masked loads are query-specific).
 /// Budgeted by total triples (set bits) held — the budget is global (an
@@ -52,10 +60,14 @@ namespace lbr {
 /// insert).
 ///
 /// Hits are copy-on-write snapshots (DESIGN.md §4): the returned TpBitMat
-/// shares the cached entry's row handles, so a hit costs O(rows) refcount
-/// bumps instead of a payload deep copy, and any later mutation of the
-/// snapshot (Unfold, SetRow) clones only the rows it changes — the cached
-/// entry is never altered.
+/// shares the cached entry's row handles, so a hit costs O(populated rows)
+/// refcount bumps instead of a payload deep copy, and any later mutation of
+/// the snapshot (Unfold, SetRow) clones only the rows it changes — the
+/// cached entry is never altered. A masked hit visits only the rows in the
+/// entry's NonEmptyRows() ∧ row mask.
+///
+/// Memory accounting charges each entry TpBitMatHeapBytes(): the populated
+/// rows plus O(num_rows / 64) metadata words, never a per-domain-ID slot.
 class TpCache {
  public:
   /// `triple_budget`: maximum total set bits held across cached BitMats
@@ -79,7 +91,7 @@ class TpCache {
   /// the cache: rows the masks leave intact are shared by handle; only
   /// rows that lose bits are re-encoded. The cached entry itself stays
   /// unmasked. `ctx` provides pooled scratch for the masking, which runs
-  /// on a private snapshot outside the shard lock.
+  /// outside the shard lock.
   TpBitMat GetOrLoadMasked(const TripleIndex& index, const Dictionary& dict,
                            const TriplePattern& tp, bool prefer_subject_rows,
                            const ActiveMasks& masks,
@@ -146,7 +158,9 @@ class TpCache {
 
  private:
   struct Entry {
-    TpBitMat mat;
+    /// Immutable once published; a hit copies this pointer under the
+    /// shard lock and takes its snapshot outside it.
+    std::shared_ptr<const TpBitMat> mat;
     uint64_t cost = 0;   ///< Set bits at insertion (the budget unit).
     uint64_t bytes = 0;  ///< Approximate heap bytes (the meter's unit).
     std::list<std::string>::iterator lru_it;
@@ -162,6 +176,10 @@ class TpCache {
   };
 
   Shard& ShardFor(const std::string& key) const;
+  /// Returns `key`'s entry (counting a hit and touching its LRU node), or
+  /// null. Caller holds the shard lock.
+  std::shared_ptr<const TpBitMat> FindAndTouch(Shard* shard,
+                                               const std::string& key);
   /// Locks a shard, counting the acquisition as contended when the lock
   /// was already held.
   std::unique_lock<std::mutex> LockShard(Shard* shard);

@@ -8,48 +8,73 @@ namespace lbr {
 
 namespace {
 
-// Applies active-pruning masks while copying (id, row) pairs into `bm`.
-void FillRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
+using SliceRows = std::vector<std::pair<uint32_t, CompressedRow>>;
+
+// Copies (id, row) pairs into `bm`, applying the active-pruning masks.
+// `present` is the slice's non-empty-row bit array (exactly the ids in
+// `rows`): a row mask is intersected with it word-wise, and only the
+// surviving ids are sought in `rows` with a forward cursor, so a selective
+// mask never scans the whole slice.
+void FillRows(const SliceRows& rows, const Bitvector& present,
               const ActiveMasks& masks, ExecContext* ctx, BitMat* bm) {
   ScratchPositions scratch(ctx);
-  for (const auto& [id, row] : rows) {
-    if (masks.row_mask != nullptr &&
-        (id >= masks.row_mask->size() || !masks.row_mask->Get(id))) {
-      continue;
-    }
+  auto store = [&](uint32_t id, const CompressedRow& row) {
     if (masks.col_mask != nullptr) {
       SetRowMasked(id, row, *masks.col_mask, scratch.get(), bm);
     } else {
       bm->SetRow(id, row);
     }
+  };
+  if (masks.row_mask == nullptr) {
+    for (const auto& [id, row] : rows) store(id, row);
+    return;
   }
+  ScratchPositions ids(ctx);
+  present.AppendAndSetBits(*masks.row_mask, ids.get());
+  auto it = rows.begin();
+  for (uint32_t id : *ids) {
+    it = std::lower_bound(it, rows.end(), id,
+                          [](const SliceRows::value_type& e, uint32_t v) {
+                            return e.first < v;
+                          });
+    if (it == rows.end()) break;
+    if (it->first == id) store(id, it->second);
+  }
+}
+
+// The row every single-column load stores: bit 0 set. One immutable handle
+// is shared by all rows of a load.
+BitMat::RowHandle UnitRow() {
+  return std::make_shared<const CompressedRow>(
+      CompressedRow::FromPositions({0}));
 }
 
 // Sets the single-column rows of `bm` from the set bits of `row`, honoring
-// the row-domain mask.
+// the row-domain mask (ANDed into the row before iterating).
 void FillColumnVector(const CompressedRow& row, const ActiveMasks& masks,
-                      BitMat* bm) {
-  row.ForEachSetBit([&](uint32_t id) {
-    if (masks.row_mask != nullptr &&
-        (id >= masks.row_mask->size() || !masks.row_mask->Get(id))) {
-      return;
-    }
-    bm->SetRow(id, CompressedRow::FromPositions({0}));
-  });
+                      ExecContext* ctx, BitMat* bm) {
+  if (row.IsEmpty()) return;
+  BitMat::RowHandle unit = UnitRow();
+  if (masks.row_mask == nullptr) {
+    row.ForEachSetBit([&](uint32_t id) { bm->SetRowShared(id, unit); });
+    return;
+  }
+  ScratchPositions ids(ctx);
+  row.AppendMaskedPositions(*masks.row_mask, ids.get());
+  for (uint32_t id : *ids) bm->SetRowShared(id, unit);
 }
 
 // Restricts a same-variable TP (?x p ?x) to its diagonal: only IDs in the
-// shared Vso range can denote the same term on both dimensions.
+// shared Vso range can denote the same term on both dimensions. Rebuilt in
+// ascending row order (appends) from the populated rows only.
 void KeepDiagonal(uint32_t num_common, BitMat* bm) {
-  uint32_t n = std::min(bm->num_rows(), num_common);
-  for (uint32_t r = 0; r < bm->num_rows(); ++r) {
-    if (bm->Row(r).IsEmpty()) continue;
-    if (r < n && bm->Row(r).Test(r)) {
-      bm->SetRow(r, CompressedRow::FromPositions({r}));
-    } else {
-      bm->SetRow(r, CompressedRow());
+  BitMat diag(bm->num_rows(), bm->num_cols());
+  bm->NonEmptyRows().ForEachSetBit([&](uint32_t r) {
+    if (r < num_common && bm->Row(r).Test(r)) {
+      diag.SetRow(r, CompressedRow::FromPositions({r}));
     }
-  }
+  });
+  *bm = std::move(diag);
 }
 
 }  // namespace
@@ -118,14 +143,18 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
         out.row_var = tp.s.var;
         out.col_var = tp.o.var;
         out.bm = BitMat(index.num_subjects(), index.num_objects());
-        if (pin) FillRows(pin->so_rows, masks, ctx, &out.bm);
+        if (pin) {
+          FillRows(pin->so_rows, index.SubjectsOf(*p), masks, ctx, &out.bm);
+        }
       } else {
         out.row_kind = DomainKind::kObject;
         out.col_kind = DomainKind::kSubject;
         out.row_var = tp.o.var;
         out.col_var = tp.s.var;
         out.bm = BitMat(index.num_objects(), index.num_subjects());
-        if (pin) FillRows(pin->os_rows, masks, ctx, &out.bm);
+        if (pin) {
+          FillRows(pin->os_rows, index.ObjectsOf(*p), masks, ctx, &out.bm);
+        }
       }
       if (tp.s.var == tp.o.var) KeepDiagonal(index.num_common(), &out.bm);
       return out;
@@ -139,7 +168,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       if (p && o) {
         TripleIndex::SlicePin pin = index.Slice(*p);
         FillColumnVector(TripleIndex::FindRowIn(pin->os_rows, *o), masks,
-                         &out.bm);
+                         ctx, &out.bm);
       }
       return out;
     }
@@ -152,7 +181,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       if (p && s) {
         TripleIndex::SlicePin pin = index.Slice(*p);
         FillColumnVector(TripleIndex::FindRowIn(pin->so_rows, *s), masks,
-                         &out.bm);
+                         ctx, &out.bm);
       }
       return out;
     }
@@ -185,6 +214,9 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
             (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
           continue;
         }
+        // The always-resident metadata rules out slices without :s, so
+        // a mapped index materializes only the slices that hold it.
+        if (!index.SubjectsOf(p).Get(*s)) continue;
         TripleIndex::SlicePin pin = index.Slice(p);
         const CompressedRow& row = TripleIndex::FindRowIn(pin->so_rows, *s);
         if (row.IsEmpty()) continue;
@@ -212,6 +244,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
             (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
           continue;
         }
+        if (!index.ObjectsOf(p).Get(*o)) continue;
         TripleIndex::SlicePin pin = index.Slice(p);
         const CompressedRow& row = TripleIndex::FindRowIn(pin->os_rows, *o);
         if (row.IsEmpty()) continue;
@@ -231,14 +264,16 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
   std::optional<uint32_t> s = subject_id();
   std::optional<uint32_t> o = object_id();
   if (s && o) {
+    BitMat::RowHandle unit = UnitRow();
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
       if (masks.row_mask != nullptr &&
           (p >= masks.row_mask->size() || !masks.row_mask->Get(p))) {
         continue;
       }
+      if (!index.SubjectsOf(p).Get(*s)) continue;
       TripleIndex::SlicePin pin = index.Slice(p);
       if (TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) {
-        out.bm.SetRow(p, CompressedRow::FromPositions({0}));
+        out.bm.SetRowShared(p, unit);
       }
     }
   }

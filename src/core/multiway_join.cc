@@ -168,8 +168,8 @@ const CompressedRow& MultiwayJoin::TransposedColumn(int tp_id, uint32_t col) {
         return e.first < c;
       });
   if (it == tc.cols.end() || it->first != col) {
-    // A column miss costs an O(rows) scan (or a whole transpose below) with
-    // no RecurseOn in between — the bound-column pathology can chain
+    // A column miss costs an O(populated rows) scan (or a whole transpose)
+    // with no RecurseOn in between — the bound-column pathology can chain
     // thousands of these, so the build path needs its own check.
     if (ctx_ != nullptr) ctx_->CheckCancel();
     if (tc.cols.size() >= options_.lazy_transpose_threshold) {

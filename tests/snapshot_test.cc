@@ -179,7 +179,12 @@ TEST(SnapshotTest, ResaveFromMappedIndex) {
 class SnapshotRejectTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempPath("snap_reject.snap");
+    // One file per test: ctest runs the fixture's tests as concurrent
+    // processes sharing TempDir().
+    path_ = TempPath(
+        std::string("snap_reject_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".snap");
     Database db = SmallLubmDb();
     db.SaveSnapshot(path_);
     bytes_ = ReadFileBytes(path_);

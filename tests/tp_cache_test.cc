@@ -302,5 +302,39 @@ TEST_F(TpCacheTest, QueryStatsSurfaceCacheCounters) {
   EXPECT_GT(warm.tp_cache_held_triples, 0u);
 }
 
+TEST(TpCacheHeapBytesTest, ChargeIsPopulatedRowsPlusMetadataWords) {
+  // k populated rows over an n-row domain are charged O(k + n/64): the
+  // metadata words plus a per-row constant and the owned payload, never a
+  // slot per domain ID.
+  auto bytes_for = [](uint32_t n, uint32_t k) {
+    TpBitMat t;
+    t.bm = BitMat(n, 64);
+    for (uint32_t i = 0; i < k; ++i) t.bm.SetRow(i * (n / (k + 1)), {1, 7});
+    return TpBitMatHeapBytes(t);
+  };
+  const uint32_t n = 1u << 20;
+  const uint64_t words = n / 64;
+  EXPECT_EQ(bytes_for(n, 0),
+            sizeof(TpBitMat) + words * (sizeof(uint64_t) + sizeof(uint32_t)));
+  const uint64_t per_row = bytes_for(n, 1) - bytes_for(n, 0);
+  EXPECT_LE(per_row, 256u);
+  EXPECT_EQ(bytes_for(n, 40) - bytes_for(n, 0), 40 * per_row);
+  // Growing the domain 16x adds only its metadata words.
+  EXPECT_EQ(bytes_for(16 * n, 40) - bytes_for(n, 40),
+            15 * words * (sizeof(uint64_t) + sizeof(uint32_t)));
+  EXPECT_LT(bytes_for(n, 40), n * sizeof(BitMat::RowHandle) / 8);
+}
+
+TEST_F(TpCacheTest, MeterChargeEqualsEntryHeapBytes) {
+  QueryControl meter;
+  TpCache cache;
+  cache.SetMemoryAccounting(&meter, /*budget_bytes=*/1u << 30);
+  TpBitMat loaded =
+      cache.GetOrLoad(index_, graph_.dict(), Tp("?x", "p", "?y"), true);
+  EXPECT_EQ(meter.memory_used(), TpBitMatHeapBytes(loaded));
+  cache.Clear();
+  EXPECT_EQ(meter.memory_used(), 0u);
+}
+
 }  // namespace
 }  // namespace lbr
