@@ -8,7 +8,7 @@ namespace lbr {
 
 namespace {
 
-using SliceRows = std::vector<std::pair<uint32_t, CompressedRow>>;
+using SliceRows = TripleIndex::Rows;
 
 // Copies (id, row) pairs into `bm`, applying the active-pruning masks.
 // `present` is the slice's non-empty-row bit array (exactly the ids in
@@ -106,6 +106,15 @@ void AlignMaskInto(const Bitvector& src, DomainKind src_kind,
   }
 }
 
+Orientation SliceOrientationOf(const TriplePattern& tp,
+                               bool prefer_subject_rows) {
+  // A fixed subject is found as an S-O row; a fixed object (with a
+  // variable subject) as an O-S row; (?a :p ?b) goes by the jvar order.
+  return tp.s.is_var && (!tp.o.is_var || !prefer_subject_rows)
+             ? Orientation::kOS
+             : Orientation::kSO;
+}
+
 namespace {
 
 TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
@@ -135,8 +144,10 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
     if (sv && ov) {
       // (?a :p ?b): full predicate slice, orientation by the jvar order.
       // Pin the slice across the copy-out so a concurrent snapshot spill
-      // cannot free the row vectors mid-iteration (mapped mode).
-      TripleIndex::SlicePin pin = p ? index.Slice(*p) : nullptr;
+      // cannot free the row vector mid-iteration (mapped mode).
+      TripleIndex::SlicePin pin =
+          p ? index.Slice(*p, SliceOrientationOf(tp, prefer_subject_rows))
+            : nullptr;
       if (prefer_subject_rows) {
         out.row_kind = DomainKind::kSubject;
         out.col_kind = DomainKind::kObject;
@@ -144,7 +155,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
         out.col_var = tp.o.var;
         out.bm = BitMat(index.num_subjects(), index.num_objects());
         if (pin) {
-          FillRows(pin->so_rows, index.SubjectsOf(*p), masks, ctx, &out.bm);
+          FillRows(pin->rows, index.SubjectsOf(*p), masks, ctx, &out.bm);
         }
       } else {
         out.row_kind = DomainKind::kObject;
@@ -153,7 +164,7 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
         out.col_var = tp.s.var;
         out.bm = BitMat(index.num_objects(), index.num_subjects());
         if (pin) {
-          FillRows(pin->os_rows, index.ObjectsOf(*p), masks, ctx, &out.bm);
+          FillRows(pin->rows, index.ObjectsOf(*p), masks, ctx, &out.bm);
         }
       }
       if (tp.s.var == tp.o.var) KeepDiagonal(index.num_common(), &out.bm);
@@ -166,8 +177,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       out.bm = BitMat(index.num_subjects(), 1);
       std::optional<uint32_t> o = object_id();
       if (p && o) {
-        TripleIndex::SlicePin pin = index.Slice(*p);
-        FillColumnVector(TripleIndex::FindRowIn(pin->os_rows, *o), masks,
+        TripleIndex::SlicePin pin = index.Slice(*p, Orientation::kOS);
+        FillColumnVector(TripleIndex::FindRowIn(pin->rows, *o), masks,
                          ctx, &out.bm);
       }
       return out;
@@ -179,8 +190,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
       out.bm = BitMat(index.num_objects(), 1);
       std::optional<uint32_t> s = subject_id();
       if (p && s) {
-        TripleIndex::SlicePin pin = index.Slice(*p);
-        FillColumnVector(TripleIndex::FindRowIn(pin->so_rows, *s), masks,
+        TripleIndex::SlicePin pin = index.Slice(*p, Orientation::kSO);
+        FillColumnVector(TripleIndex::FindRowIn(pin->rows, *s), masks,
                          ctx, &out.bm);
       }
       return out;
@@ -190,8 +201,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
     std::optional<uint32_t> s = subject_id();
     std::optional<uint32_t> o = object_id();
     if (p && s && o) {
-      TripleIndex::SlicePin pin = index.Slice(*p);
-      if (TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) {
+      TripleIndex::SlicePin pin = index.Slice(*p, Orientation::kSO);
+      if (TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) {
         out.bm.SetRow(0, CompressedRow::FromPositions({0}));
       }
     }
@@ -217,8 +228,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
         // The always-resident metadata rules out slices without :s, so
         // a mapped index materializes only the slices that hold it.
         if (!index.SubjectsOf(p).Get(*s)) continue;
-        TripleIndex::SlicePin pin = index.Slice(p);
-        const CompressedRow& row = TripleIndex::FindRowIn(pin->so_rows, *s);
+        TripleIndex::SlicePin pin = index.Slice(p, Orientation::kSO);
+        const CompressedRow& row = TripleIndex::FindRowIn(pin->rows, *s);
         if (row.IsEmpty()) continue;
         if (masks.col_mask != nullptr) {
           SetRowMasked(p, row, *masks.col_mask, scratch.get(), &out.bm);
@@ -245,8 +256,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
           continue;
         }
         if (!index.ObjectsOf(p).Get(*o)) continue;
-        TripleIndex::SlicePin pin = index.Slice(p);
-        const CompressedRow& row = TripleIndex::FindRowIn(pin->os_rows, *o);
+        TripleIndex::SlicePin pin = index.Slice(p, Orientation::kOS);
+        const CompressedRow& row = TripleIndex::FindRowIn(pin->rows, *o);
         if (row.IsEmpty()) continue;
         if (masks.col_mask != nullptr) {
           SetRowMasked(p, row, *masks.col_mask, scratch.get(), &out.bm);
@@ -271,8 +282,8 @@ TpBitMat LoadTpBitMatImpl(const TripleIndex& index, const Dictionary& dict,
         continue;
       }
       if (!index.SubjectsOf(p).Get(*s)) continue;
-      TripleIndex::SlicePin pin = index.Slice(p);
-      if (TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) {
+      TripleIndex::SlicePin pin = index.Slice(p, Orientation::kSO);
+      if (TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) {
         out.bm.SetRowShared(p, unit);
       }
     }

@@ -64,6 +64,12 @@ struct ActiveMasks {
   const Bitvector* col_mask = nullptr;
 };
 
+/// The index orientation LoadTpBitMat reads for `tp`: S-O when the
+/// subject is fixed or (?a :p ?b) loads subject rows, O-S otherwise. The
+/// engine's snapshot prefetch hints exactly this slice.
+Orientation SliceOrientationOf(const TriplePattern& tp,
+                               bool prefer_subject_rows);
+
 /// Converts a mask over `src_kind`'s domain to a mask over `dst_kind`'s
 /// domain of size `dst_size`. Same-kind masks copy through; subject<->object
 /// conversions keep only the join-compatible IDs below `num_common`

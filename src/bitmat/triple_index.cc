@@ -14,8 +14,7 @@ const CompressedRow kEmptyRow;
 
 constexpr char kMagic[8] = {'L', 'B', 'R', 'I', 'D', 'X', '0', '1'};
 
-void WriteRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
-               std::ostream* out) {
+void WriteRows(const TripleIndex::Rows& rows, std::ostream* out) {
   uint32_t n = static_cast<uint32_t>(rows.size());
   out->write(reinterpret_cast<const char*>(&n), sizeof(n));
   for (const auto& [id, row] : rows) {
@@ -24,8 +23,7 @@ void WriteRows(const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
   }
 }
 
-void ReadRows(std::istream* in,
-              std::vector<std::pair<uint32_t, CompressedRow>>* rows) {
+void ReadRows(std::istream* in, TripleIndex::Rows* rows) {
   uint32_t n = 0;
   in->read(reinterpret_cast<char*>(&n), sizeof(n));
   rows->clear();
@@ -40,23 +38,19 @@ void ReadRows(std::istream* in,
 // Heap bytes of a materialized slice: vector storage plus owned payload.
 // Views into the map own no payload, so a freshly materialized mapped
 // slice costs ~sizeof(pair) per row regardless of payload size.
-uint64_t SliceHeapBytes(const TripleIndex::PredSlice& slice) {
-  uint64_t bytes = sizeof(TripleIndex::PredSlice);
-  bytes += slice.so_rows.capacity() *
-           sizeof(std::pair<uint32_t, CompressedRow>);
-  bytes += slice.os_rows.capacity() *
-           sizeof(std::pair<uint32_t, CompressedRow>);
-  for (const auto& [id, row] : slice.so_rows) {
+uint64_t SliceHeapBytes(const TripleIndex::OrientedSlice& slice) {
+  uint64_t bytes = sizeof(TripleIndex::OrientedSlice);
+  bytes += slice.rows.capacity() * sizeof(TripleIndex::Rows::value_type);
+  for (const auto& [id, row] : slice.rows) {
     (void)id;
     bytes += row.OwnedHeapBytes();
   }
-  for (const auto& [id, row] : slice.os_rows) {
-    (void)id;
-    bytes += row.OwnedHeapBytes();
-  }
-  bytes += slice.so_extent_copy.capacity() * sizeof(uint32_t);
-  bytes += slice.os_extent_copy.capacity() * sizeof(uint32_t);
+  bytes += slice.extent_copy.capacity() * sizeof(uint32_t);
   return bytes;
+}
+
+uint64_t DirBytes(uint32_t dir_rows) {
+  return static_cast<uint64_t>(dir_rows) * sizeof(SnapRowDirEntry);
 }
 
 }  // namespace
@@ -72,7 +66,7 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   idx.pred_counts_.assign(idx.num_predicates_, 0);
   idx.non_empty_s_.resize(idx.num_predicates_);
   idx.non_empty_o_.resize(idx.num_predicates_);
-  idx.preds_.resize(idx.num_predicates_);
+  idx.slices_.resize(2 * static_cast<size_t>(idx.num_predicates_));
 
   // Bucket triples by predicate in both orientations, then compress.
   std::vector<std::vector<std::pair<uint32_t, uint32_t>>> by_pred(
@@ -83,7 +77,8 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
   }
 
   for (uint32_t p = 0; p < idx.num_predicates_; ++p) {
-    auto slice = std::make_shared<PredSlice>();
+    auto so = std::make_shared<OrientedSlice>();
+    auto os = std::make_shared<OrientedSlice>();
     idx.non_empty_s_[p].Resize(idx.num_subjects_);
     idx.non_empty_o_[p].Resize(idx.num_objects_);
     auto& pairs = by_pred[p];
@@ -98,7 +93,7 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
         cols.push_back(pairs[i].second);
         ++i;
       }
-      slice->so_rows.emplace_back(s, CompressedRow::FromPositions(cols));
+      so->rows.emplace_back(s, CompressedRow::FromPositions(cols));
       idx.non_empty_s_[p].Set(s);
     }
 
@@ -115,18 +110,18 @@ TripleIndex TripleIndex::Build(const Graph& graph) {
         cols.push_back(pairs[i].first);
         ++i;
       }
-      slice->os_rows.emplace_back(o, CompressedRow::FromPositions(cols));
+      os->rows.emplace_back(o, CompressedRow::FromPositions(cols));
       idx.non_empty_o_[p].Set(o);
     }
     pairs.clear();
     pairs.shrink_to_fit();
-    idx.preds_[p] = std::move(slice);
+    idx.slices_[SliceUnit(p, Orientation::kSO)] = std::move(so);
+    idx.slices_[SliceUnit(p, Orientation::kOS)] = std::move(os);
   }
   return idx;
 }
 
-const CompressedRow& TripleIndex::FindRowIn(
-    const std::vector<std::pair<uint32_t, CompressedRow>>& rows, uint32_t id) {
+const CompressedRow& TripleIndex::FindRowIn(const Rows& rows, uint32_t id) {
   auto it = std::lower_bound(
       rows.begin(), rows.end(), id,
       [](const auto& pair, uint32_t key) { return pair.first < key; });
@@ -134,32 +129,43 @@ const CompressedRow& TripleIndex::FindRowIn(
   return it->second;
 }
 
-const TripleIndex::PredSlice& TripleIndex::EnsureSlice(uint32_t p) const {
-  if (backing_ == nullptr) return *preds_[p];
+const TripleIndex::OrientedSlice& TripleIndex::EnsureSlice(
+    uint32_t p, Orientation o) const {
+  if (backing_ == nullptr) return *slices_[SliceUnit(p, o)];
   // Mapped mode: materialize (or touch) under the per-predicate lock. The
-  // returned reference stays valid until the slice is spilled — preds_[p]
+  // returned reference stays valid until the slice is spilled — slices_
   // keeps a strong ref until then.
-  return *MaterializeSlice(p);
+  return *MaterializeSlice(p, o);
 }
 
-TripleIndex::SlicePin TripleIndex::Slice(uint32_t p) const {
+TripleIndex::SlicePin TripleIndex::Slice(uint32_t p, Orientation o) const {
   if (p >= num_predicates_) return nullptr;
-  if (backing_ == nullptr) return preds_[p];
-  return MaterializeSlice(p);
+  if (backing_ == nullptr) return slices_[SliceUnit(p, o)];
+  return MaterializeSlice(p, o);
 }
 
-void TripleIndex::DecodeSliceRows(
-    const SliceLoc& loc, const char* what,
-    std::vector<std::pair<uint32_t, CompressedRow>>* rows,
-    std::vector<uint32_t>* extent_copy) const {
+const char* TripleIndex::SliceChecksumFailure(const SliceLoc& loc,
+                                              const uint8_t* dir,
+                                              const uint8_t* extent) {
+  if (SnapChecksum(dir, DirBytes(loc.dir_rows)) != loc.dir_crc) {
+    return "row directory";
+  }
+  if (SnapChecksum(extent, loc.extent_words * 4) != loc.extent_crc) {
+    return "extent";
+  }
+  return nullptr;
+}
+
+void TripleIndex::DecodeSliceRows(uint32_t p, Orientation o,
+                                  OrientedSlice* slice) const {
+  const SliceLoc& loc = backing_->loc[SliceUnit(p, o)];
   const uint8_t* base = backing_->file->data();
-  const uint64_t dir_bytes =
-      static_cast<uint64_t>(loc.dir_rows) * sizeof(SnapRowDirEntry);
+  const uint64_t dir_bytes = DirBytes(loc.dir_rows);
   const uint8_t* dir = base + loc.dir_off;
   const uint32_t* extent =
       reinterpret_cast<const uint32_t*>(base + loc.extent_off);
   std::vector<uint8_t> dir_copy;
-  if (extent_copy != nullptr) {
+  if (backing_->paranoid) {
     // Paranoid mode: pread both regions into heap buffers and verify/decode
     // the copies — a storage-level fault surfaces as a clean pread error or
     // checksum mismatch here, never a SIGBUS on a later mapped access.
@@ -168,42 +174,46 @@ void TripleIndex::DecodeSliceRows(
       backing_->file->ReadAt(loc.dir_off, dir_bytes, dir_copy.data());
     }
     dir = dir_copy.data();
-    extent_copy->resize(loc.extent_words);
+    slice->extent_copy.resize(loc.extent_words);
     if (loc.extent_words > 0) {
       backing_->file->ReadAt(loc.extent_off, loc.extent_words * 4,
-                             extent_copy->data());
+                             slice->extent_copy.data());
     }
-    extent = extent_copy->data();
+    extent = slice->extent_copy.data();
   }
   // Lazy integrity: verify the directory and extent checksums on every
   // materialization (re-materializing after a spill re-reads from disk, so
   // re-verifying is the honest contract). The index.checksum fault site
   // forces the mismatch path — how tests exercise quarantine without
   // corrupting a real file.
-  const bool forced =
-      FaultRegistry::Instance().ShouldInject(FaultSiteId::kIndexChecksum);
-  if (forced || Crc64(dir, dir_bytes) != loc.dir_crc) {
-    throw SnapshotError(SnapshotErrorCode::kChecksum,
-                        std::string("row directory of ") + what + " in " +
-                            backing_->file->path());
+  auto what = [&] {
+    return std::string(o == Orientation::kSO ? "S-O" : "O-S") +
+           " slice of predicate " + std::to_string(p) + " in " +
+           backing_->file->path();
+  };
+  const char* bad = "row directory";
+  if (!FaultRegistry::Instance().ShouldInject(FaultSiteId::kIndexChecksum)) {
+    bad = SliceChecksumFailure(loc, dir,
+                               reinterpret_cast<const uint8_t*>(extent));
+    backing_->verified_bytes.fetch_add(dir_bytes + loc.extent_words * 4,
+                                       std::memory_order_relaxed);
   }
-  if (Crc64(extent, loc.extent_words * 4) != loc.extent_crc) {
+  if (bad != nullptr) {
     throw SnapshotError(SnapshotErrorCode::kChecksum,
-                        std::string("extent of ") + what + " in " +
-                            backing_->file->path());
+                        std::string(bad) + " of " + what());
   }
-  rows->clear();
-  rows->reserve(loc.dir_rows);
+  Rows& rows = slice->rows;
+  rows.clear();
+  rows.reserve(loc.dir_rows);
   for (uint32_t i = 0; i < loc.dir_rows; ++i) {
     SnapRowDirEntry e =
         ReadPod<SnapRowDirEntry>(dir, i * sizeof(SnapRowDirEntry));
     if (e.payload_off_words + e.payload_words > loc.extent_words ||
         e.encoding > static_cast<uint8_t>(CompressedRow::Encoding::kRuns)) {
       throw SnapshotError(SnapshotErrorCode::kCorrupt,
-                          std::string("row directory entry of ") + what +
-                              " out of bounds in " + backing_->file->path());
+                          "out-of-bounds row directory entry of " + what());
     }
-    rows->emplace_back(
+    rows.emplace_back(
         e.id, CompressedRow::View(
                   static_cast<CompressedRow::Encoding>(e.encoding),
                   e.first_bit != 0, e.count, extent + e.payload_off_words,
@@ -211,12 +221,13 @@ void TripleIndex::DecodeSliceRows(
   }
 }
 
-std::shared_ptr<TripleIndex::PredSlice> TripleIndex::MaterializeSlice(
-    uint32_t p) const {
+std::shared_ptr<TripleIndex::OrientedSlice> TripleIndex::MaterializeSlice(
+    uint32_t p, Orientation o) const {
   Backing& b = *backing_;
   // Degraded mode: a predicate that previously failed integrity checks is
-  // quarantined — every subsequent touch fails fast with the same
-  // structured error (this query fails; other predicates keep serving).
+  // quarantined — every subsequent touch of either orientation fails fast
+  // with the same structured error (this query fails; other predicates
+  // keep serving).
   if (b.quarantined[p].load(std::memory_order_relaxed) != 0) {
     throw SnapshotError(SnapshotErrorCode::kChecksum,
                         "predicate " + std::to_string(p) +
@@ -224,23 +235,21 @@ std::shared_ptr<TripleIndex::PredSlice> TripleIndex::MaterializeSlice(
                             "failure in " +
                             b.file->path());
   }
-  b.last_touch[p].store(
+  const size_t u = SliceUnit(p, o);
+  b.last_touch[u].store(
       b.touch_seq.fetch_add(1, std::memory_order_relaxed) + 1,
       std::memory_order_relaxed);
-  std::shared_ptr<PredSlice> result;
+  std::shared_ptr<OrientedSlice> result;
   {
     std::lock_guard<std::mutex> lk(b.mu[p]);
-    if (preds_[p] != nullptr) return preds_[p];
-    auto slice = std::make_shared<PredSlice>();
+    if (slices_[u] != nullptr) return slices_[u];
+    auto slice = std::make_shared<OrientedSlice>();
     try {
-      // The decode pair is the transient-I/O boundary: a retry starts from
-      // clear vectors, so nothing partial survives a failed attempt.
+      // The decode is the transient-I/O boundary: a retry starts from a
+      // clear vector, so nothing partial survives a failed attempt.
       RetryTransient([&] {
         FaultRegistry::Instance().MaybeInject(FaultSiteId::kIndexMaterialize);
-        DecodeSliceRows(b.so_loc[p], "S-O slice", &slice->so_rows,
-                        b.paranoid ? &slice->so_extent_copy : nullptr);
-        DecodeSliceRows(b.os_loc[p], "O-S slice", &slice->os_rows,
-                        b.paranoid ? &slice->os_extent_copy : nullptr);
+        DecodeSliceRows(p, o, slice.get());
       });
     } catch (const SnapshotError& e) {
       if (e.code() == SnapshotErrorCode::kChecksum ||
@@ -255,8 +264,8 @@ std::shared_ptr<TripleIndex::PredSlice> TripleIndex::MaterializeSlice(
     if (b.meter != nullptr) b.meter->ChargeMemory(slice->heap_bytes);
     b.resident_bytes.fetch_add(slice->heap_bytes, std::memory_order_relaxed);
     b.materializations.fetch_add(1, std::memory_order_relaxed);
-    preds_[p] = slice;
-    b.resident[p].store(1, std::memory_order_relaxed);
+    slices_[u] = slice;
+    b.resident[u].store(1, std::memory_order_relaxed);
     result = std::move(slice);
   }
   // Budget enforcement outside mu[p] (the spiller try_locks slice mutexes,
@@ -286,29 +295,29 @@ uint64_t TripleIndex::SpillToFit() const {
   // slice pinned or its lock contended. Once every candidate has been
   // tried fruitlessly, the remaining residency is all pinned working set
   // and the pass yields (the budget is best-effort under pins).
-  uint32_t stalls = 0;
-  while (b.meter->memory_used() > b.budget_bytes &&
-         stalls <= num_predicates_) {
+  const size_t units = slices_.size();
+  size_t stalls = 0;
+  while (b.meter->memory_used() > b.budget_bytes && stalls <= units) {
     // Pick the coldest materialized slice (lock-free flag scan).
-    uint32_t victim = num_predicates_;
+    size_t victim = units;
     uint64_t victim_touch = ~0ull;
-    for (uint32_t p = 0; p < num_predicates_; ++p) {
-      if (b.resident[p].load(std::memory_order_relaxed) == 0) continue;
-      uint64_t t = b.last_touch[p].load(std::memory_order_relaxed);
+    for (size_t u = 0; u < units; ++u) {
+      if (b.resident[u].load(std::memory_order_relaxed) == 0) continue;
+      uint64_t t = b.last_touch[u].load(std::memory_order_relaxed);
       if (t < victim_touch) {
         victim_touch = t;
-        victim = p;
+        victim = u;
       }
     }
-    if (victim == num_predicates_) break;  // nothing materialized
-    std::unique_lock<std::mutex> lk(b.mu[victim], std::try_to_lock);
-    // use_count is stable here: new pins require mu[victim], which we
-    // hold; concurrent pin releases only make a spillable slice look
-    // pinned (conservative skip).
-    if (lk.owns_lock() && preds_[victim] != nullptr &&
-        preds_[victim].use_count() == 1) {
-      uint64_t bytes = preds_[victim]->heap_bytes;
-      preds_[victim].reset();
+    if (victim == units) break;  // nothing materialized
+    std::unique_lock<std::mutex> lk(b.mu[victim / 2], std::try_to_lock);
+    // use_count is stable here: new pins require the predicate's mutex,
+    // which we hold; concurrent pin releases only make a spillable slice
+    // look pinned (conservative skip).
+    if (lk.owns_lock() && slices_[victim] != nullptr &&
+        slices_[victim].use_count() == 1) {
+      uint64_t bytes = slices_[victim]->heap_bytes;
+      slices_[victim].reset();
       b.resident[victim].store(0, std::memory_order_relaxed);
       b.meter->ReleaseMemory(bytes);
       b.resident_bytes.fetch_sub(bytes, std::memory_order_relaxed);
@@ -318,11 +327,8 @@ uint64_t TripleIndex::SpillToFit() const {
       // Return the extent pages to the file: the "spill back to the mapped
       // extents" half of the contract. Clean read-only pages just drop;
       // the next materialization faults them back from disk.
-      const SliceLoc& so = b.so_loc[victim];
-      const SliceLoc& os = b.os_loc[victim];
-      b.file->Advise(so.extent_off, so.extent_words * 4,
-                     MappedFile::Advice::kDontNeed);
-      b.file->Advise(os.extent_off, os.extent_words * 4,
+      const SliceLoc& loc = b.loc[victim];
+      b.file->Advise(loc.extent_off, loc.extent_words * 4,
                      MappedFile::Advice::kDontNeed);
     } else {
       // Pinned or contended: stamp it recently-used so the next scan tries
@@ -352,25 +358,18 @@ void TripleIndex::SetSpillHook(std::function<uint64_t()> hook) {
   backing_->spill_hook = std::move(hook);
 }
 
-void TripleIndex::Prefetch(uint32_t p) const {
+void TripleIndex::Prefetch(uint32_t p, Orientation o) const {
   if (backing_ == nullptr || p >= num_predicates_) return;
   Backing& b = *backing_;
+  const size_t u = SliceUnit(p, o);
   {
-    // Resident already? Touch it so the prefetch also refreshes LRU.
     std::lock_guard<std::mutex> lk(b.mu[p]);
-    if (preds_[p] != nullptr) return;
+    if (slices_[u] != nullptr) return;  // resident already
   }
-  const SliceLoc& so = b.so_loc[p];
-  const SliceLoc& os = b.os_loc[p];
-  b.file->Advise(so.dir_off,
-                 static_cast<uint64_t>(so.dir_rows) * sizeof(SnapRowDirEntry),
+  const SliceLoc& loc = b.loc[u];
+  b.file->Advise(loc.dir_off, DirBytes(loc.dir_rows),
                  MappedFile::Advice::kWillNeed);
-  b.file->Advise(so.extent_off, so.extent_words * 4,
-                 MappedFile::Advice::kWillNeed);
-  b.file->Advise(os.dir_off,
-                 static_cast<uint64_t>(os.dir_rows) * sizeof(SnapRowDirEntry),
-                 MappedFile::Advice::kWillNeed);
-  b.file->Advise(os.extent_off, os.extent_words * 4,
+  b.file->Advise(loc.extent_off, loc.extent_words * 4,
                  MappedFile::Advice::kWillNeed);
   b.prefetches.fetch_add(1, std::memory_order_relaxed);
 }
@@ -394,12 +393,10 @@ bool TripleIndex::VerifySlices(std::vector<uint32_t>* corrupt,
   bool ok = true;
   for (uint32_t p = 0; p < num_predicates_; ++p) {
     bool bad = false;
-    for (const SliceLoc* loc : {&b.so_loc[p], &b.os_loc[p]}) {
-      const uint64_t dir_bytes =
-          static_cast<uint64_t>(loc->dir_rows) * sizeof(SnapRowDirEntry);
-      if (Crc64(base + loc->dir_off, dir_bytes) != loc->dir_crc ||
-          Crc64(base + loc->extent_off, loc->extent_words * 4) !=
-              loc->extent_crc) {
+    for (Orientation o : {Orientation::kSO, Orientation::kOS}) {
+      const SliceLoc& loc = b.loc[SliceUnit(p, o)];
+      if (SliceChecksumFailure(loc, base + loc.dir_off,
+                               base + loc.extent_off) != nullptr) {
         bad = true;
       }
     }
@@ -417,19 +414,19 @@ bool TripleIndex::VerifySlices(std::vector<uint32_t>* corrupt,
 
 const CompressedRow& TripleIndex::SoRow(uint32_t p, uint32_t s) const {
   if (p >= num_predicates_) return kEmptyRow;
-  return FindRowIn(EnsureSlice(p).so_rows, s);
+  return FindRowIn(EnsureSlice(p, Orientation::kSO).rows, s);
 }
 
 const CompressedRow& TripleIndex::OsRow(uint32_t p, uint32_t o) const {
   if (p >= num_predicates_) return kEmptyRow;
-  return FindRowIn(EnsureSlice(p).os_rows, o);
+  return FindRowIn(EnsureSlice(p, Orientation::kOS).rows, o);
 }
 
 BitMat TripleIndex::PoBitMat(uint32_t s) const {
   BitMat bm(num_predicates_, num_objects_);
   for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p);
-    const CompressedRow& row = FindRowIn(pin->so_rows, s);
+    SlicePin pin = Slice(p, Orientation::kSO);
+    const CompressedRow& row = FindRowIn(pin->rows, s);
     if (!row.IsEmpty()) bm.SetRow(p, row);
   }
   return bm;
@@ -438,8 +435,8 @@ BitMat TripleIndex::PoBitMat(uint32_t s) const {
 BitMat TripleIndex::PsBitMat(uint32_t o) const {
   BitMat bm(num_predicates_, num_subjects_);
   for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p);
-    const CompressedRow& row = FindRowIn(pin->os_rows, o);
+    SlicePin pin = Slice(p, Orientation::kOS);
+    const CompressedRow& row = FindRowIn(pin->rows, o);
     if (!row.IsEmpty()) bm.SetRow(p, row);
   }
   return bm;
@@ -448,22 +445,17 @@ BitMat TripleIndex::PsBitMat(uint32_t o) const {
 TripleIndex::SizeReport TripleIndex::ComputeSizeReport() const {
   SizeReport report;
   uint64_t rle_so = 0, rle_os = 0;
+  auto add = [&report](const Rows& rows, uint64_t* payload, uint64_t* rle) {
+    for (const auto& [id, row] : rows) {
+      (void)id;
+      *payload += row.PayloadBytes();
+      *rle += CompressedRow::RleOnlyFromPositions(row.SetBits()).PayloadBytes();
+      ++report.num_rows;
+    }
+  };
   for (uint32_t p = 0; p < num_predicates_; ++p) {
-    SlicePin pin = Slice(p);
-    for (const auto& [id, row] : pin->so_rows) {
-      (void)id;
-      report.so_bytes += row.PayloadBytes();
-      rle_so +=
-          CompressedRow::RleOnlyFromPositions(row.SetBits()).PayloadBytes();
-      ++report.num_rows;
-    }
-    for (const auto& [id, row] : pin->os_rows) {
-      (void)id;
-      report.os_bytes += row.PayloadBytes();
-      rle_os +=
-          CompressedRow::RleOnlyFromPositions(row.SetBits()).PayloadBytes();
-      ++report.num_rows;
-    }
+    add(Slice(p, Orientation::kSO)->rows, &report.so_bytes, &rle_so);
+    add(Slice(p, Orientation::kOS)->rows, &report.os_bytes, &rle_os);
   }
   // All four families: SO + OS stored, P-O mirrors SO, P-S mirrors OS.
   report.hybrid_bytes = 2 * (report.so_bytes + report.os_bytes);
@@ -480,9 +472,8 @@ void TripleIndex::WriteTo(std::ostream* out) const {
   out->write(reinterpret_cast<const char*>(&num_triples_), 8);
   for (uint32_t p = 0; p < num_predicates_; ++p) {
     out->write(reinterpret_cast<const char*>(&pred_counts_[p]), 8);
-    SlicePin pin = Slice(p);
-    WriteRows(pin->so_rows, out);
-    WriteRows(pin->os_rows, out);
+    WriteRows(Slice(p, Orientation::kSO)->rows, out);
+    WriteRows(Slice(p, Orientation::kOS)->rows, out);
   }
 }
 
@@ -501,23 +492,25 @@ TripleIndex TripleIndex::ReadFrom(std::istream* in) {
   idx.pred_counts_.resize(idx.num_predicates_);
   idx.non_empty_s_.resize(idx.num_predicates_);
   idx.non_empty_o_.resize(idx.num_predicates_);
-  idx.preds_.resize(idx.num_predicates_);
+  idx.slices_.resize(2 * static_cast<size_t>(idx.num_predicates_));
   for (uint32_t p = 0; p < idx.num_predicates_; ++p) {
     in->read(reinterpret_cast<char*>(&idx.pred_counts_[p]), 8);
-    auto slice = std::make_shared<PredSlice>();
-    ReadRows(in, &slice->so_rows);
-    ReadRows(in, &slice->os_rows);
+    auto so = std::make_shared<OrientedSlice>();
+    auto os = std::make_shared<OrientedSlice>();
+    ReadRows(in, &so->rows);
+    ReadRows(in, &os->rows);
     idx.non_empty_s_[p].Resize(idx.num_subjects_);
     idx.non_empty_o_[p].Resize(idx.num_objects_);
-    for (const auto& [id, row] : slice->so_rows) {
+    for (const auto& [id, row] : so->rows) {
       (void)row;
       idx.non_empty_s_[p].Set(id);
     }
-    for (const auto& [id, row] : slice->os_rows) {
+    for (const auto& [id, row] : os->rows) {
       (void)row;
       idx.non_empty_o_[p].Set(id);
     }
-    idx.preds_[p] = std::move(slice);
+    idx.slices_[SliceUnit(p, Orientation::kSO)] = std::move(so);
+    idx.slices_[SliceUnit(p, Orientation::kOS)] = std::move(os);
   }
   return idx;
 }

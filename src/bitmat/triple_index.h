@@ -20,6 +20,12 @@
 
 namespace lbr {
 
+/// Which of a predicate's two matrices a reader wants: S-O (rows are
+/// subjects, columns objects) or O-S (rows objects, columns subjects).
+/// One (predicate, orientation) pair is a *slice*: the unit a snapshot
+/// stores, verifies, materializes and spills (DESIGN.md §11).
+enum class Orientation : uint8_t { kSO = 0, kOS = 1 };
+
 /// The on-disk / in-memory index over an RDF graph: the 3-D bitcube of
 /// Section 4 sliced into 2-D BitMats.
 ///
@@ -40,41 +46,43 @@ namespace lbr {
 /// Two storage backends (DESIGN.md §11):
 ///  - Heap mode (Build/ReadFrom): every slice is resident from the start.
 ///  - Mapped mode (a snapshot opened through Database::OpenSnapshot): the
-///    file is mmap'd and slices materialize lazily on first touch as
-///    vectors of zero-copy CompressedRow views into the mapped extents, so
-///    the first query pays only for the predicates it touches. Under a
-///    memory budget, cold slices *spill*: their heap structures are freed
-///    and their extent pages are madvise(DONTNEED)'d back to the file; the
+///    file is mmap'd and each (predicate, orientation) slice materializes
+///    lazily on first touch as a vector of zero-copy CompressedRow views
+///    into the mapped extent, so the first query pays only for the slices
+///    it reads — one orientation per fixed-predicate TP. Under a memory
+///    budget, cold slices *spill*: their heap structures are freed and
+///    their extent pages are madvise(DONTNEED)'d back to the file; the
 ///    next touch re-materializes (and re-verifies) them.
 ///
 /// Concurrency: heap mode is immutable after construction (lock-free
-/// reads). Mapped mode guards each slice with a per-predicate mutex;
-/// `Slice()` returns a shared_ptr pin that keeps a slice alive across
-/// spills, so concurrent readers and the spiller never race. The
+/// reads). Mapped mode guards both slices of a predicate with one
+/// per-predicate mutex; `Slice()` returns a shared_ptr pin that keeps a
+/// slice alive across spills, so concurrent readers and the spiller never
+/// race. The
 /// reference-returning accessors (SoRow/SoRows/...) stay valid until the
 /// slice is spilled — hot engine paths hold pins; admin paths (size
 /// report, WriteTo) assume no concurrent budget pressure.
 class TripleIndex {
  public:
-  /// One predicate's S-O and O-S matrices. Public so Slice() pins can hand
-  /// the row vectors to the TP loader directly.
-  struct PredSlice {
-    // Sorted by first (row id); only non-empty rows present.
-    std::vector<std::pair<uint32_t, CompressedRow>> so_rows;
-    std::vector<std::pair<uint32_t, CompressedRow>> os_rows;
-    /// Paranoid mode (LBR_SNAPSHOT_PARANOID, DESIGN.md §12): heap copies of
-    /// the payload extents, pread from the file instead of borrowed from
-    /// the mapping — the rows above view into these buffers, so a
+  /// A matrix's non-empty rows, sorted by row id.
+  using Rows = std::vector<std::pair<uint32_t, CompressedRow>>;
+
+  /// One (predicate, orientation) matrix. Public so Slice() pins can hand
+  /// the row vector to the TP loader directly.
+  struct OrientedSlice {
+    Rows rows;
+    /// Paranoid mode (LBR_SNAPSHOT_PARANOID, DESIGN.md §12): a heap copy of
+    /// the payload extent, pread from the file instead of borrowed from
+    /// the mapping — the rows above view into this buffer, so a
     /// storage-level bit flip surfaces as a pread error or checksum
     /// mismatch, never a SIGBUS on a mapped access. Empty in normal mode.
-    std::vector<uint32_t> so_extent_copy;
-    std::vector<uint32_t> os_extent_copy;
-    /// Heap bytes of the slice's own structures (vectors + owned payload +
-    /// paranoid extent copies; view payload in the map is not counted) —
+    std::vector<uint32_t> extent_copy;
+    /// Heap bytes of the slice's own structures (vector + owned payload +
+    /// paranoid extent copy; view payload in the map is not counted) —
     /// the unit the snapshot memory budget meters.
     uint64_t heap_bytes = 0;
   };
-  using SlicePin = std::shared_ptr<const PredSlice>;
+  using SlicePin = std::shared_ptr<const OrientedSlice>;
 
   TripleIndex() = default;
 
@@ -93,17 +101,16 @@ class TripleIndex {
     return pred_counts_[p];
   }
 
-  /// Pins predicate `p`'s slice: materializes it first in mapped mode.
-  /// The pin keeps the slice's row vectors alive even if the slice is
-  /// spilled concurrently — the loader's access protocol under a memory
-  /// budget. Returns nullptr for out-of-range predicates.
-  SlicePin Slice(uint32_t p) const;
+  /// Pins predicate `p`'s matrix in orientation `o`. In mapped mode this
+  /// verifies and decodes that orientation only (the other stays on disk
+  /// until something reads it). The pin keeps the row vector alive even if
+  /// the slice is spilled concurrently — the loader's access protocol
+  /// under a memory budget. Returns nullptr for out-of-range predicates.
+  SlicePin Slice(uint32_t p, Orientation o) const;
 
   /// Finds row `id` in a pinned slice's sorted row vector (binary search);
   /// returns a shared empty row when absent.
-  static const CompressedRow& FindRowIn(
-      const std::vector<std::pair<uint32_t, CompressedRow>>& rows,
-      uint32_t id);
+  static const CompressedRow& FindRowIn(const Rows& rows, uint32_t id);
 
   /// Row `s` of the S-O BitMat of predicate `p`: objects `o` with (s,p,o).
   /// Returns an empty row when absent. In mapped mode the reference is
@@ -122,13 +129,11 @@ class TripleIndex {
   /// All non-empty (s, row) pairs of the S-O BitMat of `p`, ascending s.
   /// Materializes the slice in mapped mode; see SoRow for the lifetime
   /// caveat.
-  const std::vector<std::pair<uint32_t, CompressedRow>>& SoRows(
-      uint32_t p) const {
-    return EnsureSlice(p).so_rows;
+  const Rows& SoRows(uint32_t p) const {
+    return EnsureSlice(p, Orientation::kSO).rows;
   }
-  const std::vector<std::pair<uint32_t, CompressedRow>>& OsRows(
-      uint32_t p) const {
-    return EnsureSlice(p).os_rows;
+  const Rows& OsRows(uint32_t p) const {
+    return EnsureSlice(p, Orientation::kOS).rows;
   }
 
   /// Materializes the P-O BitMat of subject `s` (rows = predicates,
@@ -163,12 +168,13 @@ class TripleIndex {
   /// materializations that overshoot.
   uint64_t SpillToFit() const;
 
-  /// madvise(WILLNEED) on predicate `p`'s directory + extents — the
-  /// planner-driven readahead hint for TPs about to be loaded. No-op in
-  /// heap mode or for already-resident slices.
-  void Prefetch(uint32_t p) const;
+  /// madvise(WILLNEED) on the directory + extent of predicate `p`'s
+  /// orientation `o` — the planner-driven readahead hint for a TP about to
+  /// be loaded. No-op in heap mode or for an already-resident slice.
+  void Prefetch(uint32_t p, Orientation o) const;
 
-  /// Snapshot-tier observability (all zero in heap mode).
+  /// Snapshot-tier observability (all zero in heap mode). A
+  /// materialization is one (predicate, orientation) decode.
   uint64_t snapshot_materializations() const {
     return backing_ ? backing_->materializations.load(
                           std::memory_order_relaxed)
@@ -179,6 +185,12 @@ class TripleIndex {
   }
   uint64_t snapshot_prefetches() const {
     return backing_ ? backing_->prefetches.load(std::memory_order_relaxed)
+                    : 0;
+  }
+  /// Directory + extent bytes checksummed by materializations (each one
+  /// verifies exactly the slice it decodes; VerifySlices is not counted).
+  uint64_t snapshot_verified_bytes() const {
+    return backing_ ? backing_->verified_bytes.load(std::memory_order_relaxed)
                     : 0;
   }
   /// Current heap bytes held by materialized slices.
@@ -199,8 +211,8 @@ class TripleIndex {
   std::vector<uint32_t> QuarantinedSlices() const;
 
   /// Integrity sweep for `.verify` / Database::VerifySnapshot: re-checks
-  /// every slice's directory and extent checksums against the mapped bytes
-  /// without materializing anything. Appends failing predicate IDs to
+  /// the directory and extent checksums of both orientations of every
+  /// predicate against the mapped bytes without materializing anything. Appends failing predicate IDs to
   /// `corrupt` and currently-quarantined IDs to `quarantined` (either may
   /// be null). Returns true when both lists are empty. Heap mode always
   /// verifies clean.
@@ -241,16 +253,16 @@ class TripleIndex {
 
   struct Backing {
     std::shared_ptr<MappedFile> file;
-    std::vector<SliceLoc> so_loc;  ///< Indexed by predicate.
-    std::vector<SliceLoc> os_loc;
-    /// Per-predicate materialization locks; also guard preds_[p] loads in
-    /// mapped mode (C++17 has no atomic shared_ptr).
+    std::vector<SliceLoc> loc;  ///< Indexed by SliceUnit(p, o).
+    /// Per-predicate materialization locks, one for both orientations;
+    /// also guard slices_ loads in mapped mode (C++17 has no atomic
+    /// shared_ptr).
     std::unique_ptr<std::mutex[]> mu;
-    /// LRU clock: last-touch sequence per predicate.
+    /// LRU clock: last-touch sequence per slice unit.
     std::unique_ptr<std::atomic<uint64_t>[]> last_touch;
-    /// Lock-free residency flags mirroring preds_[p] != nullptr (updated
-    /// under mu[p]); the spiller's victim scan reads these instead of the
-    /// shared_ptrs themselves.
+    /// Lock-free residency flags mirroring slices_[u] != nullptr (updated
+    /// under the predicate's mu); the spiller's victim scan reads these
+    /// instead of the shared_ptrs themselves.
     std::unique_ptr<std::atomic<uint8_t>[]> resident;
     std::atomic<uint64_t> touch_seq{0};
     // Budget + accounting (SetMemoryBudget).
@@ -263,11 +275,13 @@ class TripleIndex {
     std::atomic<uint64_t> materializations{0};
     std::atomic<uint64_t> spills{0};
     std::atomic<uint64_t> prefetches{0};
+    std::atomic<uint64_t> verified_bytes{0};
     std::atomic<uint64_t> resident_bytes{0};
     /// Degraded mode (DESIGN.md §12): per-predicate quarantine flags, set
-    /// when a materialization hits a checksum/corruption failure. A
-    /// quarantined slice fails fast with a structured error on every
-    /// subsequent touch (that query fails; other predicates keep serving).
+    /// when a materialization of either orientation hits a
+    /// checksum/corruption failure. Both orientations of a quarantined
+    /// predicate fail fast with a structured error on every subsequent
+    /// touch (that query fails; other predicates keep serving).
     std::unique_ptr<std::atomic<uint8_t>[]> quarantined;
     std::atomic<uint64_t> quarantines{0};
     /// LBR_SNAPSHOT_PARANOID: pread slice bytes into heap instead of
@@ -275,18 +289,29 @@ class TripleIndex {
     bool paranoid = false;
   };
 
+  /// Index of the (predicate, orientation) slice in slices_ and in the
+  /// backing's per-unit arrays.
+  static size_t SliceUnit(uint32_t p, Orientation o) {
+    return 2 * static_cast<size_t>(p) + static_cast<size_t>(o);
+  }
+  /// Which part of a slice fails its checksum ("row directory" or
+  /// "extent"), or null when both match. `dir` and `extent` point at the
+  /// bytes to check (the map, or paranoid-mode heap copies).
+  static const char* SliceChecksumFailure(const SliceLoc& loc,
+                                          const uint8_t* dir,
+                                          const uint8_t* extent);
+
   /// Materialize-on-first-touch for mapped mode; heap mode returns the
   /// resident slice directly.
-  const PredSlice& EnsureSlice(uint32_t p) const;
-  std::shared_ptr<PredSlice> MaterializeSlice(uint32_t p) const;
-  /// Decodes one orientation's rows from the mapped directory + extent,
-  /// verifying both checksums. Throws SnapshotError on any mismatch. When
-  /// `extent_copy` is non-null (paranoid mode), the extent is pread into it
-  /// and the rows view the heap copy instead of the map.
-  void DecodeSliceRows(
-      const SliceLoc& loc, const char* what,
-      std::vector<std::pair<uint32_t, CompressedRow>>* rows,
-      std::vector<uint32_t>* extent_copy = nullptr) const;
+  const OrientedSlice& EnsureSlice(uint32_t p, Orientation o) const;
+  std::shared_ptr<OrientedSlice> MaterializeSlice(uint32_t p,
+                                                  Orientation o) const;
+  /// Decodes one slice's rows from the mapped directory + extent, verifying
+  /// both checksums. Throws SnapshotError on any mismatch. In paranoid
+  /// mode the extent is pread into slice->extent_copy and the rows view
+  /// the heap copy instead of the map.
+  void DecodeSliceRows(uint32_t p, Orientation o,
+                       OrientedSlice* slice) const;
 
   uint32_t num_subjects_ = 0;
   uint32_t num_predicates_ = 0;
@@ -297,10 +322,10 @@ class TripleIndex {
   /// Always-resident condensed metadata (one Bitvector pair per predicate).
   std::vector<Bitvector> non_empty_s_;
   std::vector<Bitvector> non_empty_o_;
-  /// Slice storage. Heap mode: every entry non-null after construction,
-  /// never mutated (lock-free). Mapped mode: entries start null and are
-  /// published/spilled under backing_->mu[p].
-  mutable std::vector<std::shared_ptr<PredSlice>> preds_;
+  /// Slice storage, indexed by SliceUnit(p, o). Heap mode: every entry
+  /// non-null after construction, never mutated (lock-free). Mapped mode:
+  /// entries start null and are published/spilled under backing_->mu[p].
+  mutable std::vector<std::shared_ptr<OrientedSlice>> slices_;
   mutable std::unique_ptr<Backing> backing_;
 };
 

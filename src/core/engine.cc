@@ -255,15 +255,20 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
 
   GlobalIds ids = GlobalIds::FromDictionary(*dict_);
 
-  // Mapped-snapshot readahead: hint the kernel at every fixed predicate the
-  // load order is about to touch, so later TPs' extents fault in from disk
-  // while earlier TPs decode (DESIGN.md §11). No-op on heap indexes and on
-  // already-resident slices.
+  // Mapped-snapshot readahead: hint the kernel at the slice (predicate and
+  // orientation) of every fixed-predicate TP the load order is about to
+  // touch, so later TPs' extents fault in from disk while earlier TPs
+  // decode (DESIGN.md §11). No-op on heap indexes and on already-resident
+  // slices.
   if (options_.snapshot_prefetch && index_->mapped()) {
     for (int tp_id : plan.load_order) {
       const TriplePattern& tp = tps[static_cast<size_t>(tp_id)];
       if (tp.p.is_var) continue;
-      if (auto p = dict_->PredicateId(tp.p.term)) index_->Prefetch(*p);
+      if (auto p = dict_->PredicateId(tp.p.term)) {
+        index_->Prefetch(
+            *p, SliceOrientationOf(
+                    tp, plan.prefer_subject_rows[static_cast<size_t>(tp_id)]));
+      }
     }
   }
 
@@ -603,6 +608,7 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
   const uint64_t snap_mat0 = index_->snapshot_materializations();
   const uint64_t snap_spill0 = index_->snapshot_spills();
   const uint64_t snap_pref0 = index_->snapshot_prefetches();
+  const uint64_t snap_verified0 = index_->snapshot_verified_bytes();
   FaultRegistry& faults = FaultRegistry::Instance();
   const uint64_t faults0 = faults.injected_total();
   const uint64_t retries0 = faults.retries_total();
@@ -631,6 +637,8 @@ uint64_t Engine::ExecutePlanned(const CompiledPlan& plan,
       index_->snapshot_materializations() - snap_mat0;
   st->snapshot_spills = index_->snapshot_spills() - snap_spill0;
   st->snapshot_prefetches = index_->snapshot_prefetches() - snap_pref0;
+  st->snapshot_verified_bytes =
+      index_->snapshot_verified_bytes() - snap_verified0;
   st->snapshot_resident_bytes = index_->snapshot_resident_bytes();
   st->snapshot_budget_bytes = index_->snapshot_budget_bytes();
   st->faults_injected = faults.injected_total() - faults0;

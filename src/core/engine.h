@@ -154,13 +154,16 @@ struct QueryStats {
   uint64_t planning_gosn_builds = 0;
   uint64_t planning_jvar_orders = 0;
   // Snapshot-tier observability (DESIGN.md §11; all zero on heap-backed
-  // indexes). Materialization/spill/prefetch counts are per-query deltas of
-  // the index-wide counters — like the tp_cache_* deltas, concurrent
-  // queries' traffic is included. resident/budget bytes are end-of-query
-  // levels.
+  // indexes). Materialization/spill/prefetch/verified-byte counts are
+  // per-query deltas of the index-wide counters — like the tp_cache_*
+  // deltas, concurrent queries' traffic is included. A materialization is
+  // one (predicate, orientation) slice decode; verified bytes are the
+  // directory + extent bytes those decodes checksummed. resident/budget
+  // bytes are end-of-query levels.
   uint64_t snapshot_materializations = 0;
   uint64_t snapshot_spills = 0;
   uint64_t snapshot_prefetches = 0;
+  uint64_t snapshot_verified_bytes = 0;
   uint64_t snapshot_resident_bytes = 0;
   uint64_t snapshot_budget_bytes = 0;
   // Fault-injection observability (DESIGN.md §12; all zero with the

@@ -160,6 +160,7 @@ std::string ExplainCacheStats(const QueryStats& stats) {
     os << "  snapshot: " << stats.snapshot_materializations
        << " materialization(s), " << stats.snapshot_spills << " spill(s), "
        << stats.snapshot_prefetches << " prefetch(es), "
+       << stats.snapshot_verified_bytes << " verified byte(s), "
        << stats.snapshot_resident_bytes << " resident byte(s)";
     if (stats.snapshot_budget_bytes > 0) {
       os << " / " << stats.snapshot_budget_bytes << " budget";

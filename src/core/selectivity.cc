@@ -14,20 +14,21 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto p = dict.PredicateId(tp.p.term);
     if (!p) return 0;
     if (sv && ov) return index.PredicateCardinality(*p);
-    // Pin the slice while reading its rows (mapped-snapshot spill safety).
-    TripleIndex::SlicePin pin = index.Slice(*p);
+    // Pin the slice while reading its rows (mapped-snapshot spill safety);
+    // only the orientation the row lookup needs.
     if (sv) {
       auto o = dict.ObjectId(tp.o.term);
-      return o ? TripleIndex::FindRowIn(pin->os_rows, *o).Count() : 0;
-    }
-    if (ov) {
-      auto s = dict.SubjectId(tp.s.term);
-      return s ? TripleIndex::FindRowIn(pin->so_rows, *s).Count() : 0;
+      if (!o) return 0;
+      return TripleIndex::FindRowIn(index.Slice(*p, Orientation::kOS)->rows,
+                                    *o)
+          .Count();
     }
     auto s = dict.SubjectId(tp.s.term);
+    if (!s) return 0;
+    TripleIndex::SlicePin pin = index.Slice(*p, Orientation::kSO);
+    if (ov) return TripleIndex::FindRowIn(pin->rows, *s).Count();
     auto o = dict.ObjectId(tp.o.term);
-    return (s && o && TripleIndex::FindRowIn(pin->so_rows, *s).Test(*o)) ? 1
-                                                                         : 0;
+    return (o && TripleIndex::FindRowIn(pin->rows, *s).Test(*o)) ? 1 : 0;
   }
 
   // Variable predicate: sum across predicates.
@@ -36,7 +37,10 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto s = dict.SubjectId(tp.s.term);
     if (!s) return 0;
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-      total += TripleIndex::FindRowIn(index.Slice(p)->so_rows, *s).Count();
+      if (!index.SubjectsOf(p).Get(*s)) continue;
+      total += TripleIndex::FindRowIn(index.Slice(p, Orientation::kSO)->rows,
+                                      *s)
+                   .Count();
     }
     return total;
   }
@@ -44,7 +48,10 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto o = dict.ObjectId(tp.o.term);
     if (!o) return 0;
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-      total += TripleIndex::FindRowIn(index.Slice(p)->os_rows, *o).Count();
+      if (!index.ObjectsOf(p).Get(*o)) continue;
+      total += TripleIndex::FindRowIn(index.Slice(p, Orientation::kOS)->rows,
+                                      *o)
+                   .Count();
     }
     return total;
   }
@@ -53,7 +60,9 @@ uint64_t EstimateTpCardinality(const TripleIndex& index,
     auto o = dict.ObjectId(tp.o.term);
     if (!s || !o) return 0;
     for (uint32_t p = 0; p < index.num_predicates(); ++p) {
-      if (TripleIndex::FindRowIn(index.Slice(p)->so_rows, *s).Test(*o)) {
+      if (!index.SubjectsOf(p).Get(*s)) continue;
+      if (TripleIndex::FindRowIn(index.Slice(p, Orientation::kSO)->rows, *s)
+              .Test(*o)) {
         ++total;
       }
     }

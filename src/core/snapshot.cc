@@ -76,10 +76,10 @@ SnapSliceLocEntry EmitSlice(
     words += row.psize();
   }
   loc.extent_words = words;
-  loc.dir_crc = Crc64(dir->data() + loc.dir_off,
-                      loc.dir_rows * sizeof(SnapRowDirEntry));
+  loc.dir_crc = SnapChecksum(dir->data() + loc.dir_off,
+                             loc.dir_rows * sizeof(SnapRowDirEntry));
   loc.extent_crc =
-      Crc64(extent->data() + loc.extent_off, loc.extent_words * 4);
+      SnapChecksum(extent->data() + loc.extent_off, loc.extent_words * 4);
   return loc;
 }
 
@@ -160,9 +160,10 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
   std::string rowdir_blob, extents_blob;
   std::vector<SnapSliceLocEntry> so_loc(np), os_loc(np);
   for (uint32_t p = 0; p < np; ++p) {
-    TripleIndex::SlicePin pin = index.Slice(p);
-    so_loc[p] = EmitSlice(pin->so_rows, page, &rowdir_blob, &extents_blob);
-    os_loc[p] = EmitSlice(pin->os_rows, page, &rowdir_blob, &extents_blob);
+    so_loc[p] = EmitSlice(index.Slice(p, Orientation::kSO)->rows, page,
+                          &rowdir_blob, &extents_blob);
+    os_loc[p] = EmitSlice(index.Slice(p, Orientation::kOS)->rows, page,
+                          &rowdir_blob, &extents_blob);
   }
 
   // Meta: dims + counts + condensed bitvectors + slice locators.
@@ -212,18 +213,23 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
     e->crc = crc;
   };
   set(&sections[0], kSnapSectionDict, dict_off, dict_blob.size(),
-      Crc64(dict_blob.data(), dict_blob.size()));
+      SnapChecksum(dict_blob.data(), dict_blob.size()));
   set(&sections[1], kSnapSectionStats, stats_off, stats_blob.size(),
-      Crc64(stats_blob.data(), stats_blob.size()));
-  // Rowdir + extents carry crc 0: their integrity is per-slice (dir_crc /
-  // extent_crc in the locators), verified lazily at materialization.
+      SnapChecksum(stats_blob.data(), stats_blob.size()));
+  // Rowdir + extents carry checksum 0: their integrity is per-slice
+  // (dir_crc / extent_crc in the locators), verified lazily at
+  // materialization.
   set(&sections[2], kSnapSectionRowDir, rowdir_off, rowdir_blob.size(), 0);
   set(&sections[3], kSnapSectionMeta, meta_off, meta_blob.size(),
-      Crc64(meta_blob.data(), meta_blob.size()));
+      SnapChecksum(meta_blob.data(), meta_blob.size()));
   set(&sections[4], kSnapSectionExtents, extents_off, extents_blob.size(), 0);
 
-  uint64_t hdr_crc = Crc64(&hdr, sizeof(hdr));
-  hdr_crc = Crc64(sections, sizeof(sections), hdr_crc);
+  // The header checksum covers header + section table as one contiguous
+  // buffer, exactly the bytes the reader hashes in place from the map.
+  uint8_t header_bytes[sizeof(hdr) + sizeof(sections)];
+  std::memcpy(header_bytes, &hdr, sizeof(hdr));
+  std::memcpy(header_bytes + sizeof(hdr), sections, sizeof(sections));
+  const uint64_t hdr_crc = SnapChecksum(header_bytes, sizeof(header_bytes));
 
   // Crash-safe emission (DESIGN.md §12): the complete image is built in a
   // same-directory temp file, fsync'd, atomically renamed over `path`,
@@ -259,8 +265,7 @@ void SnapshotIO::Write(const Dictionary& dict, const TripleIndex& index,
       len -= static_cast<uint64_t>(n);
     }
   };
-  write_all(&hdr, sizeof(hdr));
-  write_all(sections, sizeof(sections));
+  write_all(header_bytes, sizeof(header_bytes));
   write_all(&hdr_crc, 8);
   write_all(dict_blob.data(), dict_blob.size());
   write_all(stats_blob.data(), stats_blob.size());
@@ -365,8 +370,8 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
                             std::to_string(hdr.file_size) + " bytes, file has " +
                             std::to_string(fsize));
   }
-  uint64_t hdr_crc = Crc64(base, sizeof(SnapHeader) +
-                                     kSnapNumSections * sizeof(SnapSectionEntry));
+  uint64_t hdr_crc = SnapChecksum(
+      base, sizeof(SnapHeader) + kSnapNumSections * sizeof(SnapSectionEntry));
   uint64_t stored_crc =
       ReadPod<uint64_t>(base, kSnapHeaderBytes - 8);
   if (hdr_crc != stored_crc) {
@@ -392,7 +397,7 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
   for (uint32_t kind : {kSnapSectionDict, kSnapSectionStats,
                         kSnapSectionMeta}) {
     const SectionSpan& s = spans[kind];
-    if (Crc64(base + s.offset, s.size) != s.crc) {
+    if (SnapChecksum(base + s.offset, s.size) != s.crc) {
       throw SnapshotError(SnapshotErrorCode::kChecksum,
                           "section " + std::to_string(kind) + " of " + path);
     }
@@ -454,8 +459,7 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
 
   auto backing = std::make_unique<TripleIndex::Backing>();
   backing->file = file;
-  backing->so_loc.resize(np);
-  backing->os_loc.resize(np);
+  backing->loc.resize(2 * static_cast<size_t>(np));
   auto load_loc = [&](TripleIndex::SliceLoc* loc) {
     SnapSliceLocEntry e = mr.Read<SnapSliceLocEntry>();
     uint64_t dir_bytes =
@@ -473,17 +477,19 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
     loc->dir_crc = e.dir_crc;
     loc->extent_crc = e.extent_crc;
   };
-  for (uint32_t p = 0; p < np; ++p) {
-    load_loc(&backing->so_loc[p]);
-    load_loc(&backing->os_loc[p]);
-  }
+  // The meta section stores the S-O then the O-S locator of each
+  // predicate: exactly SliceUnit order.
+  for (TripleIndex::SliceLoc& loc : backing->loc) load_loc(&loc);
+  const size_t units = backing->loc.size();
   backing->mu = std::make_unique<std::mutex[]>(np);
-  backing->last_touch = std::make_unique<std::atomic<uint64_t>[]>(np);
-  backing->resident = std::make_unique<std::atomic<uint8_t>[]>(np);
+  backing->last_touch = std::make_unique<std::atomic<uint64_t>[]>(units);
+  backing->resident = std::make_unique<std::atomic<uint8_t>[]>(units);
   backing->quarantined = std::make_unique<std::atomic<uint8_t>[]>(np);
+  for (size_t u = 0; u < units; ++u) {
+    backing->last_touch[u].store(0, std::memory_order_relaxed);
+    backing->resident[u].store(0, std::memory_order_relaxed);
+  }
   for (uint32_t p = 0; p < np; ++p) {
-    backing->last_touch[p].store(0, std::memory_order_relaxed);
-    backing->resident[p].store(0, std::memory_order_relaxed);
     backing->quarantined[p].store(0, std::memory_order_relaxed);
   }
   backing->paranoid = options.paranoid;
@@ -492,29 +498,20 @@ SnapshotIO::OpenResult SnapshotIO::Open(const std::string& path,
     backing->paranoid =
         env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0;
   }
-  index->preds_.assign(np, nullptr);
+  index->slices_.assign(units, nullptr);
   index->backing_ = std::move(backing);
 
   if (options.verify_extents) {
     // Full-integrity open: one sequential pass over every directory and
     // extent (the paranoid mode of the rejection tests and of operators
     // validating a freshly copied snapshot).
-    for (uint32_t p = 0; p < np; ++p) {
-      for (const TripleIndex::SliceLoc* loc :
-           {&index->backing_->so_loc[p], &index->backing_->os_loc[p]}) {
-        uint64_t dir_bytes =
-            static_cast<uint64_t>(loc->dir_rows) * sizeof(SnapRowDirEntry);
-        if (Crc64(base + loc->dir_off, dir_bytes) != loc->dir_crc) {
-          throw SnapshotError(SnapshotErrorCode::kChecksum,
-                              "row directory of predicate " +
-                                  std::to_string(p) + " in " + path);
-        }
-        if (Crc64(base + loc->extent_off, loc->extent_words * 4) !=
-            loc->extent_crc) {
-          throw SnapshotError(SnapshotErrorCode::kChecksum,
-                              "extent of predicate " + std::to_string(p) +
-                                  " in " + path);
-        }
+    for (size_t u = 0; u < units; ++u) {
+      const TripleIndex::SliceLoc& loc = index->backing_->loc[u];
+      if (const char* bad = TripleIndex::SliceChecksumFailure(
+              loc, base + loc.dir_off, base + loc.extent_off)) {
+        throw SnapshotError(SnapshotErrorCode::kChecksum,
+                            std::string(bad) + " of predicate " +
+                                std::to_string(u / 2) + " in " + path);
       }
     }
   }

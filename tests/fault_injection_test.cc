@@ -149,25 +149,18 @@ TEST_F(FaultInjectionTest, MalformedSpecsAreRejectedNotHalfApplied) {
   }
 }
 
-TEST_F(FaultInjectionTest, LegacyRateParsesStrictly) {
-  uint32_t rate = 0;
-  EXPECT_TRUE(FaultRegistry::ParseLegacyRate("3", &rate));
-  EXPECT_EQ(rate, 3u);
-  EXPECT_TRUE(FaultRegistry::ParseLegacyRate("4294967295", &rate));
-  // The silent-strtol failure modes the satellite hardened away:
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("0", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("-1", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("+1", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate(" 3", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("3x", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate("4294967296", &rate));
-  EXPECT_FALSE(FaultRegistry::ParseLegacyRate(nullptr, &rate));
-
-  // The dispatcher between the two syntaxes:
-  EXPECT_FALSE(FaultRegistry::LooksLikeSiteSpec("3"));
-  EXPECT_TRUE(FaultRegistry::LooksLikeSiteSpec("tp_cache.load:nth=1"));
-  EXPECT_TRUE(FaultRegistry::LooksLikeSiteSpec("3x"));
+TEST_F(FaultInjectionTest, BareIntegerSpecIsRejected) {
+  // The retired per-TpCache form `LBR_FAULT=<n>` is a malformed entry like
+  // any other: rejected, arming nothing (not even tp_cache.load), while a
+  // well-formed neighbor in the same string still arms.
+  FaultRegistry& reg = FaultRegistry::Instance();
+  EXPECT_EQ(reg.ArmFromString("3"), 0);
+  EXPECT_FALSE(reg.armed_anywhere());
+  EXPECT_EQ(reg.ArmFromString("3,tp_cache.load:nth=3"), 1);
+  for (const FaultSiteStats& st : reg.Stats()) {
+    EXPECT_EQ(st.spec.empty(), st.id != FaultSiteId::kTpCacheLoad)
+        << FaultRegistry::InfoOf(st.id).name;
+  }
 }
 
 TEST_F(FaultInjectionTest, WildcardArmsOnlyChaosSafeSites) {

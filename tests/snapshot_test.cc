@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -13,7 +15,9 @@
 #include <unistd.h>
 
 #include "bitmat/snapshot_format.h"
+#include "bitmat/tp_loader.h"
 #include "core/database.h"
+#include "core/explain.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 #include "util/thread_pool.h"
@@ -477,7 +481,7 @@ TEST_F(SnapshotFaultTest, ChecksumFaultQuarantinesOnlyThatPredicate) {
   // Force a checksum mismatch on predicate 0's first materialization.
   Arm("index.checksum", "once");
   try {
-    db.index().Slice(0);
+    db.index().Slice(0, Orientation::kSO);
     FAIL() << "forced checksum mismatch did not throw";
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
@@ -485,15 +489,20 @@ TEST_F(SnapshotFaultTest, ChecksumFaultQuarantinesOnlyThatPredicate) {
 
   // Degraded mode: predicate 0 is quarantined and fails fast on every
   // subsequent touch; other predicates keep serving.
+  // Quarantine is per predicate: the O-S orientation, never touched,
+  // fails fast too.
   EXPECT_EQ(db.index().snapshot_quarantined(), 1u);
-  try {
-    db.index().Slice(0);
-    FAIL() << "quarantined predicate did not fail fast";
-  } catch (const SnapshotError& e) {
-    EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
-    EXPECT_NE(std::string(e.what()).find("quarantined"), std::string::npos);
+  for (Orientation o : {Orientation::kSO, Orientation::kOS}) {
+    try {
+      db.index().Slice(0, o);
+      FAIL() << "quarantined predicate did not fail fast";
+    } catch (const SnapshotError& e) {
+      EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
+      EXPECT_NE(std::string(e.what()).find("quarantined"), std::string::npos);
+    }
   }
-  EXPECT_NO_THROW(db.index().Slice(1));
+  EXPECT_NO_THROW(db.index().Slice(1, Orientation::kSO));
+  EXPECT_NO_THROW(db.index().Slice(1, Orientation::kOS));
 
   // The verify report distinguishes quarantined (runtime state) from
   // corrupt (bytes on disk — none here, the mismatch was injected).
@@ -594,6 +603,348 @@ TEST_F(SnapshotFaultTest, ParanoidModeServesIdenticalResults) {
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Format v2 checksum and per-orientation residency (DESIGN.md §11/§12).
+// ---------------------------------------------------------------------------
+
+/// Where one (predicate, orientation) slice lives in a snapshot file: the
+/// locators are the meta section's tail, S-O then O-S per predicate.
+struct SliceBytes {
+  uint64_t dir_off = 0;  ///< Absolute file offset of the row directory.
+  uint64_t dir_bytes = 0;
+  uint64_t extent_off = 0;  ///< Absolute file offset of the extent.
+  uint64_t extent_bytes = 0;
+  uint32_t rows = 0;
+};
+
+SliceBytes LocateSlice(const std::string& bytes, uint32_t p, Orientation o) {
+  const uint8_t* base = reinterpret_cast<const uint8_t*>(bytes.data());
+  SnapSectionEntry meta = FindSection(bytes, kSnapSectionMeta);
+  const uint32_t np = ReadPod<uint32_t>(base, meta.offset + 4);
+  const uint64_t locs =
+      meta.offset + meta.size - 2ull * np * sizeof(SnapSliceLocEntry);
+  SnapSliceLocEntry e = ReadPod<SnapSliceLocEntry>(
+      base, locs + (2ull * p + static_cast<uint32_t>(o)) *
+                       sizeof(SnapSliceLocEntry));
+  SliceBytes out;
+  out.dir_off = FindSection(bytes, kSnapSectionRowDir).offset + e.dir_off;
+  out.dir_bytes = uint64_t{e.dir_rows} * sizeof(SnapRowDirEntry);
+  out.extent_off =
+      FindSection(bytes, kSnapSectionExtents).offset + e.extent_off;
+  out.extent_bytes = e.extent_words * 4;
+  out.rows = e.dir_rows;
+  return out;
+}
+
+/// Heap bytes the index meters for a freshly materialized slice of `rows`
+/// rows (views own no payload).
+uint64_t SliceHeapBytes(uint32_t rows) {
+  return sizeof(TripleIndex::OrientedSlice) +
+         uint64_t{rows} * sizeof(TripleIndex::Rows::value_type);
+}
+
+/// A graph small enough to flip every bit of a slice: predicate `knows`
+/// has two subjects and three objects.
+Database TinyDb() {
+  return Database::Build({testing::T("a", "knows", "b"),
+                          testing::T("a", "knows", "c"),
+                          testing::T("b", "knows", "c"),
+                          testing::T("c", "likes", "a"),
+                          testing::T("b", "knows", "d")});
+}
+
+class SnapshotChecksumTest : public ::testing::Test {
+ protected:
+  void SetUp() override { FaultRegistry::Instance().DisarmAll(); }
+};
+
+TEST_F(SnapshotChecksumTest, GoldenVectors) {
+  // Pins the v2 on-disk checksum: a change here is a format change.
+  // Inputs shorter than one 32-byte stripe take the xxHash64 tail path
+  // unchanged, so those three match the published XXH64 (seed 0) values.
+  EXPECT_EQ(SnapChecksum("", 0), 0xef46db3751d8e999ull);
+  EXPECT_EQ(SnapChecksum("a", 1), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(SnapChecksum("abc", 3), 0x44bc2cf5ad770999ull);
+  const char* fox = "The quick brown fox jumps over the lazy dog";
+  EXPECT_EQ(SnapChecksum(fox, std::strlen(fox)), 0x6b62175c29168ec2ull);
+  // Every tail shape after one or more stripes: bytes (i*7+3) & 0xff.
+  std::vector<uint8_t> buf(100);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+  const std::pair<size_t, uint64_t> golden[] = {
+      {31, 0xa2aa5f33cc4a6119ull},  {32, 0x46b63888ac171be0ull},
+      {33, 0xe02f8f2fa5586338ull},  {39, 0xe24884bb209064aaull},
+      {40, 0x5e834a6b640f08acull},  {44, 0xbce103f21f7c3600ull},
+      {45, 0x521d5a9ecb34806dull},  {63, 0x3efe05a77c17620bull},
+      {64, 0xcc02a1395ff54e38ull},  {100, 0x6903d3b1450fac80ull},
+  };
+  for (const auto& [len, want] : golden) {
+    EXPECT_EQ(SnapChecksum(buf.data(), len), want) << "length " << len;
+  }
+}
+
+TEST_F(SnapshotChecksumTest, EverySingleBitFlipChangesTheChecksum) {
+  // The single-word guarantee on every stripe/tail shape: flipping any one
+  // bit of the buffer always changes the checksum.
+  std::vector<uint8_t> buf(77);
+  for (size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<uint8_t>(i * 31 + 5);
+  }
+  for (size_t len : {0ul, 1ul, 7ul, 12ul, 31ul, 32ul, 45ul, 77ul}) {
+    const uint64_t clean = SnapChecksum(buf.data(), len);
+    for (size_t bit = 0; bit < len * 8; ++bit) {
+      buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      EXPECT_NE(SnapChecksum(buf.data(), len), clean)
+          << "length " << len << " bit " << bit;
+      buf[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+    }
+  }
+}
+
+TEST_F(SnapshotChecksumTest, EveryBitFlipInOneSliceIsCaughtOnItsFirstTouch) {
+  Database tiny = TinyDb();
+  const std::string path = TempPath("snap_flip_slice.snap");
+  tiny.SaveSnapshot(path);
+  const std::string clean = ReadFileBytes(path);
+  const uint32_t knows = *tiny.dict().PredicateId(Term::Iri("knows"));
+  const SliceBytes so = LocateSlice(clean, knows, Orientation::kSO);
+  ASSERT_EQ(so.rows, 2u);  // subjects a and b
+  ASSERT_GT(so.extent_bytes, 0u);
+
+  std::vector<std::pair<uint64_t, uint64_t>> regions = {
+      {so.dir_off, so.dir_bytes}, {so.extent_off, so.extent_bytes}};
+  size_t flips = 0;
+  for (const auto& [off, len] : regions) {
+    for (uint64_t bit = 0; bit < len * 8; ++bit) {
+      std::string mutated = clean;
+      mutated[off + bit / 8] ^= static_cast<char>(1u << (bit % 8));
+      WriteFileBytes(path, mutated);
+      Database db = Database::OpenSnapshot(path);  // lazy: open succeeds
+      // The untouched O-S orientation of the same predicate still serves:
+      // only the slice a reader asks for is verified.
+      EXPECT_NO_THROW(db.index().Slice(knows, Orientation::kOS));
+      try {
+        db.index().Slice(knows, Orientation::kSO);
+        ADD_FAILURE() << "flip of bit " << bit << " at offset " << off
+                      << " not detected";
+      } catch (const SnapshotError& e) {
+        EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum);
+      }
+      ++flips;
+    }
+  }
+  EXPECT_EQ(flips, (so.dir_bytes + so.extent_bytes) * 8);
+
+  // VerifySnapshot checks both orientations without touching either.
+  std::string mutated = clean;
+  const SliceBytes os = LocateSlice(clean, knows, Orientation::kOS);
+  mutated[os.extent_off] ^= 1;
+  WriteFileBytes(path, mutated);
+  Database db = Database::OpenSnapshot(path);
+  Database::SnapshotVerifyReport report = db.VerifySnapshot();
+  EXPECT_EQ(report.corrupt, std::vector<uint32_t>{knows});
+  EXPECT_EQ(db.index().snapshot_materializations(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotChecksumTest, EveryBitFlipInTheHeaderIsRejectedAtOpen) {
+  Database tiny = TinyDb();
+  const std::string path = TempPath("snap_flip_header.snap");
+  tiny.SaveSnapshot(path);
+  const std::string clean = ReadFileBytes(path);
+  for (uint64_t bit = 0; bit < kSnapHeaderBytes * 8; ++bit) {
+    std::string mutated = clean;
+    mutated[bit / 8] ^= static_cast<char>(1u << (bit % 8));
+    WriteFileBytes(path, mutated);
+    try {
+      Database::OpenSnapshot(path);
+      ADD_FAILURE() << "header bit " << bit << " flip not detected";
+    } catch (const SnapshotError& e) {
+      // Magic, version, size and section-count fields fail their own
+      // specific checks first; everything past the fixed header struct
+      // (section table, stored checksum) can only be caught by the
+      // checksum.
+      if (bit / 8 >= sizeof(SnapHeader)) {
+        EXPECT_EQ(e.code(), SnapshotErrorCode::kChecksum) << "bit " << bit;
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(SnapshotChecksumTest, VersionOneFileIsRejectedAsBadVersion) {
+  // A v1 file (FNV-1a checksums) is refused by version, not misread: the
+  // header below is re-signed with the v2 checksum so the version field is
+  // the only thing wrong with it.
+  Database tiny = TinyDb();
+  const std::string path = TempPath("snap_v1.snap");
+  tiny.SaveSnapshot(path);
+  std::string bytes = ReadFileBytes(path);
+  SnapHeader hdr = ReadPod<SnapHeader>(
+      reinterpret_cast<const uint8_t*>(bytes.data()), 0);
+  ASSERT_EQ(hdr.version, kSnapVersion);
+  hdr.version = 1;
+  std::memcpy(&bytes[0], &hdr, sizeof(hdr));
+  const uint64_t sum = SnapChecksum(bytes.data(), kSnapHeaderBytes - 8);
+  std::memcpy(&bytes[kSnapHeaderBytes - 8], &sum, 8);
+  WriteFileBytes(path, bytes);
+  try {
+    Database::OpenSnapshot(path);
+    ADD_FAILURE() << "v1 snapshot opened";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), SnapshotErrorCode::kBadVersion);
+  }
+  std::remove(path.c_str());
+}
+
+class SnapshotResidencyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    FaultRegistry::Instance().DisarmAll();
+    path_ = TempPath(
+        std::string("snap_residency_") +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        ".snap");
+    heap_.SaveSnapshot(path_);
+    bytes_ = ReadFileBytes(path_);
+  }
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  static TriplePattern VarPredVar(const char* pred) {
+    return TriplePattern(PatternTerm::Var("x"),
+                         PatternTerm::Fixed(Term::Iri(pred)),
+                         PatternTerm::Var("y"));
+  }
+
+  Database heap_ = SmallLubmDb();
+  std::string path_;
+  std::string bytes_;
+};
+
+TEST_F(SnapshotResidencyTest, OneOrientationLoadDecodesOnlyThatOrientation) {
+  Database db = Database::OpenSnapshot(path_);
+  const TripleIndex& index = db.index();
+  const TriplePattern tp = VarPredVar(lubm::kTakesCourse);
+  const uint32_t p = *db.dict().PredicateId(tp.p.term);
+  const SliceBytes so = LocateSlice(bytes_, p, Orientation::kSO);
+  const SliceBytes os = LocateSlice(bytes_, p, Orientation::kOS);
+  ASSERT_GT(so.rows, 0u);
+  ASSERT_GT(os.rows, 0u);
+
+  // Subject rows: the S-O slice only — one decode, its bytes verified and
+  // metered, nothing of O-S.
+  TpBitMat by_subject =
+      LoadTpBitMat(index, db.dict(), tp, /*prefer_subject_rows=*/true);
+  EXPECT_EQ(index.snapshot_materializations(), 1u);
+  EXPECT_EQ(index.snapshot_verified_bytes(), so.dir_bytes + so.extent_bytes);
+  EXPECT_EQ(index.snapshot_resident_bytes(), SliceHeapBytes(so.rows));
+
+  // A later object-rows touch adds exactly the O-S slice.
+  TpBitMat by_object =
+      LoadTpBitMat(index, db.dict(), tp, /*prefer_subject_rows=*/false);
+  EXPECT_EQ(index.snapshot_materializations(), 2u);
+  EXPECT_EQ(index.snapshot_verified_bytes(),
+            so.dir_bytes + so.extent_bytes + os.dir_bytes + os.extent_bytes);
+  EXPECT_EQ(index.snapshot_resident_bytes(),
+            SliceHeapBytes(so.rows) + SliceHeapBytes(os.rows));
+  EXPECT_EQ(by_subject.bm.Count(), by_object.bm.Count());
+
+  // Both resident: re-reads decode and verify nothing.
+  LoadTpBitMat(index, db.dict(), tp, true);
+  LoadTpBitMat(index, db.dict(), tp, false);
+  EXPECT_EQ(index.snapshot_materializations(), 2u);
+  EXPECT_EQ(index.snapshot_verified_bytes(),
+            so.dir_bytes + so.extent_bytes + os.dir_bytes + os.extent_bytes);
+}
+
+TEST_F(SnapshotResidencyTest, PrefetchHintsOnlyTheNamedOrientation) {
+  Database db = Database::OpenSnapshot(path_);
+  const TripleIndex& index = db.index();
+  const uint32_t p = *db.dict().PredicateId(Term::Iri(lubm::kAdvisor));
+  index.Slice(p, Orientation::kSO);
+  index.Prefetch(p, Orientation::kSO);  // resident: no hint
+  EXPECT_EQ(index.snapshot_prefetches(), 0u);
+  index.Prefetch(p, Orientation::kOS);  // on disk: hinted
+  EXPECT_EQ(index.snapshot_prefetches(), 1u);
+  EXPECT_EQ(index.snapshot_materializations(), 1u);  // hints decode nothing
+}
+
+TEST_F(SnapshotResidencyTest, QueryStatsCountVerifiedBytesPerQuery) {
+  Database db = Database::OpenSnapshot(path_);
+  const std::string q = LubmQueries()[0].sparql;
+  QueryStats cold, warm;
+  db.engine().ExecuteToTable(q, &cold);
+  db.engine().ExecuteToTable(q, &warm);
+  EXPECT_GT(cold.snapshot_materializations, 0u);
+  EXPECT_GT(cold.snapshot_verified_bytes, 0u);
+  EXPECT_EQ(cold.snapshot_verified_bytes, db.index().snapshot_verified_bytes());
+  // Nothing spilled (no budget), so the warm run verifies nothing.
+  EXPECT_EQ(warm.snapshot_materializations, 0u);
+  EXPECT_EQ(warm.snapshot_verified_bytes, 0u);
+  EXPECT_NE(ExplainCacheStats(cold).find("verified byte(s)"),
+            std::string::npos);
+}
+
+TEST_F(SnapshotResidencyTest, BothOrientationsReadConcurrentlyWithSpills) {
+  // A budget of one byte: every unpinned slice is a spill victim. Four
+  // readers alternate orientations of one predicate while a fifth thread
+  // spills continuously; every pin must see the full, correct rows.
+  SnapshotOptions snap;
+  snap.memory_budget_bytes = 1;
+  Database db = Database::OpenSnapshot(path_, {}, snap);
+  const TripleIndex& index = db.index();
+  const uint32_t p = *db.dict().PredicateId(Term::Iri(lubm::kTakesCourse));
+  const TripleIndex& heap = heap_.index();
+  const size_t want_rows[2] = {heap.SoRows(p).size(), heap.OsRows(p).size()};
+  uint64_t want_bits[2] = {0, 0};
+  for (const auto& [id, row] : heap.SoRows(p)) want_bits[0] += row.Count();
+  for (const auto& [id, row] : heap.OsRows(p)) want_bits[1] += row.Count();
+
+  // Readers run at least kMinIters rounds and until the spiller has
+  // reclaimed a slice kMinSpills times (a spill needs a moment when no
+  // reader pins that slice), capped so a broken spiller fails, not hangs.
+  constexpr int kReaders = 4;
+  constexpr int kMinIters = 200;
+  constexpr int kMaxIters = 100000;
+  constexpr uint64_t kMinSpills = 4;
+  std::atomic<bool> done{false};
+  std::atomic<int> mismatches{0};
+  std::thread spiller([&] {
+    while (!done.load()) index.SpillToFit();
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < kMaxIters && (i < kMinIters ||
+                                        index.snapshot_spills() < kMinSpills);
+           ++i) {
+        const int k = (t + i) % 2;
+        {
+          TripleIndex::SlicePin pin =
+              index.Slice(p, k == 0 ? Orientation::kSO : Orientation::kOS);
+          uint64_t bits = 0;
+          for (const auto& [id, row] : pin->rows) bits += row.Count();
+          if (pin->rows.size() != want_rows[k] || bits != want_bits[k]) {
+            mismatches.fetch_add(1);
+          }
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  done.store(true);
+  spiller.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GE(index.snapshot_spills(), kMinSpills);
+  // With every pin released, one pass drains the accounting to zero.
+  index.SpillToFit();
+  EXPECT_EQ(index.snapshot_resident_bytes(), 0u);
+  EXPECT_EQ(index.snapshot_spills(), index.snapshot_materializations());
 }
 
 }  // namespace

@@ -10,7 +10,6 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -314,36 +313,52 @@ TEST_F(TpCacheConcurrencyTest, SharedCacheEnginesAgreeWithPrivateEngines) {
   EXPECT_GT(shared->hits(), 0u);
 }
 
+// Arms the tp_cache.load fault site for one test with every other site
+// disarmed (so injection counts are exact even under a chaos-armed
+// environment) and disarms everything when the test ends.
+class ArmedCacheLoad {
+ public:
+  explicit ArmedCacheLoad(const char* spec) {
+    FaultRegistry& reg = FaultRegistry::Instance();
+    reg.DisarmAll();
+    reg.ResetCounters();
+    EXPECT_TRUE(reg.Arm("tp_cache.load", spec));
+  }
+  ~ArmedCacheLoad() { FaultRegistry::Instance().DisarmAll(); }
+  static uint64_t injected() {
+    return FaultRegistry::Instance().injected(FaultSiteId::kTpCacheLoad);
+  }
+};
+
 TEST_F(TpCacheConcurrencyTest, InjectedFaultFailsEveryNthLoad) {
-  // LBR_FAULT-style chaos hook, set programmatically: with rate 2 the
-  // second claiming load faults, the RetryTransient boundary absorbs it
-  // (the backoff retry gets a fresh sequence number and lands), and the
-  // caller never observes the failure — transient faults at rate >= 2 are
-  // recovered, not surfaced.
+  // With nth=2 the second claiming load faults, the RetryTransient
+  // boundary absorbs it (the backoff retry is a fresh crossing and
+  // lands), and the caller never observes the failure — transient faults
+  // that do not re-fire on every attempt are recovered, not surfaced.
+  ArmedCacheLoad armed("nth=2");
   const uint64_t retries0 = FaultRegistry::Instance().retries_total();
   TpCache cache(/*triple_budget=*/~uint64_t{0});
-  cache.set_fault_rate(2);
   TriplePattern a = VarPredVar(lubm::kTakesCourse);
   TriplePattern b = VarPredVar(lubm::kAdvisor);
   EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), a, true));
   EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), b, true));
-  EXPECT_EQ(cache.faults_injected(), 1u);
+  EXPECT_EQ(ArmedCacheLoad::injected(), 1u);
   EXPECT_EQ(FaultRegistry::Instance().retries_total() - retries0, 1u);
-  // Both entries published despite the fault; hits bypass the hook.
+  // Both entries published despite the fault; hits bypass the site.
   EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), b, true));
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.faults_injected(), 1u);
+  EXPECT_EQ(ArmedCacheLoad::injected(), 1u);
 }
 
 TEST_F(TpCacheConcurrencyTest, FaultedLoadDoesNotPoisonSingleFlight) {
-  // Satellite hardening: the single-flight claimer throws (injected fault)
-  // while waiters sleep on the shard CV. Every waiter must observe the
-  // failure — wake, find no entry, and fall through to a direct load that
-  // bypasses the cache — with no hang and no key left marked in-flight.
-  // The test completing at all is the no-hang assertion.
+  // The single-flight claimer throws (injected fault) while waiters sleep
+  // on the shard CV. Every waiter must observe the failure — wake, find no
+  // entry, and fall through to a direct load that bypasses the cache —
+  // with no hang and no key left marked in-flight. The test completing at
+  // all is the no-hang assertion.
   constexpr int kThreads = 8;
+  ArmedCacheLoad armed("nth=1");  // every claiming load faults
   TpCache cache(/*triple_budget=*/~uint64_t{0});
-  cache.set_fault_rate(1);  // every claiming load faults
   TriplePattern tp = VarPredVar(lubm::kTakesCourse);
 
   StartGate gate(kThreads);
@@ -370,35 +385,14 @@ TEST_F(TpCacheConcurrencyTest, FaultedLoadDoesNotPoisonSingleFlight) {
   EXPECT_EQ(successes.load() + failures.load(), kThreads);
   EXPECT_GE(failures.load(), 1);       // at least the first claimer faulted
   EXPECT_EQ(wrong_counts.load(), 0);   // fallback loads saw the full matrix
-  EXPECT_GE(cache.faults_injected(), 1u);
+  EXPECT_GE(ArmedCacheLoad::injected(), 1u);
   EXPECT_EQ(cache.size(), 0u);         // nothing was published
 
-  // No poisoned entry: with the hook off, the key loads and publishes.
-  cache.set_fault_rate(0);
+  // No poisoned entry: with the site disarmed, the key loads and publishes.
+  FaultRegistry::Instance().Disarm(FaultSiteId::kTpCacheLoad);
   TpBitMat after = cache.GetOrLoad(*index_, graph_->dict(), tp, true);
   EXPECT_EQ(after.bm.Count(), full_count);
   EXPECT_EQ(cache.size(), 1u);
-}
-
-TEST_F(TpCacheConcurrencyTest, FaultRateReadFromEnvironment) {
-  // The LBR_FAULT env var arms the hook at construction (the chaos-testing
-  // entry point when the cache is buried inside an engine).
-  ASSERT_EQ(setenv("LBR_FAULT", "1", /*overwrite=*/1), 0);
-  TpCache cache(/*triple_budget=*/~uint64_t{0});
-  ASSERT_EQ(unsetenv("LBR_FAULT"), 0);
-  TriplePattern tp = VarPredVar(lubm::kTakesCourse);
-  // Rate 1 fires on every attempt, so the retry budget exhausts and the
-  // fault surfaces; each attempt counts an injection.
-  EXPECT_THROW(cache.GetOrLoad(*index_, graph_->dict(), tp, true),
-               std::runtime_error);
-  EXPECT_GE(cache.faults_injected(), 1u);
-  cache.set_fault_rate(0);
-  EXPECT_NO_THROW(cache.GetOrLoad(*index_, graph_->dict(), tp, true));
-
-  // A fresh cache without the env var never faults.
-  TpCache clean(/*triple_budget=*/~uint64_t{0});
-  EXPECT_NO_THROW(clean.GetOrLoad(*index_, graph_->dict(), tp, true));
-  EXPECT_EQ(clean.faults_injected(), 0u);
 }
 
 TEST_F(TpCacheConcurrencyTest, SmallGraphSanity) {
