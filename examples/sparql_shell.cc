@@ -16,17 +16,15 @@
 //   .predstats        print the load-time per-predicate statistics table
 //   .quit             exit
 //
-// Usage:  sparql_shell [--threads N] [--sched serial|waves]
-//                      [--planner heuristic|cost] [data.nt | data.lbr]
+// Usage:  sparql_shell [--threads N] [--planner heuristic|cost]
+//                      [--budget=BYTES] [data.nt | data.lbr]
 //         echo 'SELECT ...' | sparql_shell data.nt
 //
+// Any other argument starting with "--" prints the usage line and exits 1.
 // --threads N (default 1) sizes the worker pool: interactive queries shard
 // their prune/fold row work across it, and .batch fans whole queries over
 // it with one engine per worker against the shared TP cache.
-// --sched waves runs independent semi-joins of each prune pass
-// concurrently on the pool (conflict-scheduled waves, DESIGN.md §7);
-// serial (default) keeps the fully ordered fixpoint. Results are
-// bit-identical either way.
+// --budget=BYTES caps the resident memory of a snapshot's slices.
 // --planner cost orders jvars and TP loads from the load-time
 // PredicateStats densities (DESIGN.md §10) instead of the per-query
 // exact metadata counts; results are identical, planning is O(1) per TP.
@@ -69,6 +67,10 @@ std::vector<lbr::TermTriple> DemoTriples() {
   };
 }
 
+constexpr const char* kUsage =
+    "usage: sparql_shell [--threads N] [--planner heuristic|cost] "
+    "[--budget=BYTES] [data.nt | data.lbr]\n";
+
 bool EndsWith(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&
          s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
@@ -92,7 +94,6 @@ int main(int argc, char** argv) {
   int num_threads = 1;
   uint64_t budget_bytes = 0;  // snapshot resident-memory budget (--budget=)
   std::string data_path;
-  std::string sched = "serial";
   std::string planner = "heuristic";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -100,26 +101,20 @@ int main(int argc, char** argv) {
       num_threads = std::atoi(argv[++i]);
     } else if (arg.rfind("--threads=", 0) == 0) {
       num_threads = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--sched" && i + 1 < argc) {
-      sched = argv[++i];
-    } else if (arg.rfind("--sched=", 0) == 0) {
-      sched = arg.substr(8);
     } else if (arg == "--planner" && i + 1 < argc) {
       planner = argv[++i];
     } else if (arg.rfind("--planner=", 0) == 0) {
       planner = arg.substr(10);
     } else if (arg.rfind("--budget=", 0) == 0) {
       budget_bytes = std::strtoull(arg.c_str() + 9, nullptr, 10);
+    } else if (arg.rfind("--", 0) == 0) {
+      std::cerr << "unknown flag '" << arg << "'\n" << kUsage;
+      return 1;
     } else {
       data_path = arg;
     }
   }
   if (num_threads < 1) num_threads = ThreadPool::HardwareThreads();
-  if (sched != "serial" && sched != "waves") {
-    std::cerr << "unknown --sched mode '" << sched
-              << "' (expected serial or waves)\n";
-    return 1;
-  }
   if (planner != "heuristic" && planner != "cost") {
     std::cerr << "unknown --planner mode '" << planner
               << "' (expected heuristic or cost)\n";
@@ -129,16 +124,13 @@ int main(int argc, char** argv) {
   std::unique_ptr<ThreadPool> pool;
   EngineOptions options;
   options.enable_tp_cache = true;  // shell reruns queries: cache pays off
-  options.semi_join_sched =
-      sched == "waves" ? SemiJoinSched::kWaves : SemiJoinSched::kSerial;
   options.planner =
       planner == "cost" ? PlannerMode::kCost : PlannerMode::kHeuristic;
   if (num_threads > 1) {
     pool = std::make_unique<ThreadPool>(num_threads);
     options.pool = pool.get();
     std::cerr << "thread pool: " << num_threads << " slots ("
-              << pool->num_workers() << " workers + caller); semi-join sched: "
-              << sched << "\n";
+              << pool->num_workers() << " workers + caller)\n";
   }
 
   Database db = [&] {

@@ -54,13 +54,13 @@ enum class Dim : uint8_t {
 /// ownership of the matrix. Concurrent *reads* — including `FoldInto`,
 /// which writes the mutable fold memo under const — are safe: the memo is
 /// published through a per-version atomic once-flag (DESIGN.md §7), so any
-/// number of threads may fold one matrix at a time, as the wave scheduler's
-/// shared-master semi-joins do; no const method writes the row slots or
-/// the rank directory. A writer must still be the only thread touching the
-/// matrix (the scheduler's conflict rule guarantees it), and the
-/// writer/reader handover needs external synchronization (the wave
-/// barrier). Sharing row payload across thread-confined BitMat copies is
-/// safe (handles are immutable and refcounts are atomic).
+/// number of threads may fold one matrix at a time; no const method writes
+/// the row slots or the rank directory. A matrix is mutated only by its
+/// owning thread, through that thread's own collectives (a pooled Unfold's
+/// workers touch disjoint row slots and have quiesced when it returns), so
+/// no other thread reads it while it changes. Sharing row payload across
+/// thread-confined BitMat copies is safe (handles are immutable and
+/// refcounts are atomic).
 class BitMat {
  public:
   /// A shared immutable row. Null means an empty row (no set bits); a
@@ -259,10 +259,10 @@ class BitMat {
   }
 
   /// Records a bit-content change: bumps the version, drops the fold memo,
-  /// and resets its once-flag to kIdle. Mutation requires exclusive
-  /// ownership (no concurrent reader — the scheduler's conflict rule), so
-  /// plain writes are safe here; the next readers observe the reset state
-  /// through whatever barrier handed them the matrix.
+  /// and resets its once-flag to kIdle. A matrix is mutated only by its
+  /// owning thread (no concurrent reader), so plain writes are safe here;
+  /// the owner's later folds, and any thread it hands the matrix to across
+  /// a synchronizing edge, observe the reset state.
   void Touch() {
     ++version_;
     col_fold_.bits.reset();

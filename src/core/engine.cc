@@ -398,18 +398,11 @@ Engine::BranchResult Engine::ExecuteBranchPlan(
     return result;
   }
 
-  // --- prune_triples (Alg 3.2), serial or wave-scheduled (DESIGN.md §7).
+  // --- prune_triples (Alg 3.2), its fold/unfold sharded on the pool.
   Stopwatch prune_watch;
   if (options_.enable_prune) {
-    PruneSchedStats sched_stats;
     PruneTriples(order, gosn, goj, index_->num_common(), &states, &exec_ctx_,
-                 options_.pool, options_.semi_join_sched, &sched_stats);
-    if (stats != nullptr) {
-      stats->sched_tasks += sched_stats.tasks;
-      stats->sched_waves += sched_stats.waves;
-      stats->sched_conflicts += sched_stats.conflicts;
-      stats->sched_deduped += sched_stats.deduped;
-    }
+                 options_.pool);
   }
   if (stats != nullptr) stats->t_prune_sec += prune_watch.Seconds();
 

@@ -54,11 +54,6 @@ struct EngineOptions {
   /// probing. Results are identical; the knob exists for
   /// bench/ablation_join (DESIGN.md §6, §8).
   JoinEnumMode join_enum_mode = JoinEnumMode::kBlock;
-  /// Semi-join scheduling inside prune_triples: the fully ordered sequence
-  /// (default) or conflict-scheduled waves that run independent semi-joins
-  /// of a jvar pass concurrently on `pool` (DESIGN.md §7). Results are
-  /// bit-identical either way.
-  SemiJoinSched semi_join_sched = SemiJoinSched::kSerial;
   /// Cardinality source for jvar ordering and TP load order (DESIGN.md
   /// §10). kHeuristic is the paper's per-query exact metadata estimation;
   /// kCost plans from the load-time PredicateStats table (O(1) per TP) and
@@ -129,14 +124,8 @@ struct QueryStats {
   // another thread's load of the same pattern, during this query.
   uint64_t tp_cache_contention = 0;
   uint64_t tp_cache_flight_waits = 0;
-  // Semi-join scheduler observability (semi_join_sched = waves): tasks
-  // compiled across the prune passes, barrier waves executed, task pairs
-  // serialized by the conflict rule, and fold memos published through the
-  // once-flag during this query (any sched mode).
-  uint64_t sched_tasks = 0;
-  uint64_t sched_waves = 0;
-  uint64_t sched_conflicts = 0;
-  uint64_t sched_deduped = 0;
+  // Fold memos published through the once-flag during this query
+  // (DESIGN.md §7).
   uint64_t fold_once_publishes = 0;
   // Planning observability (the compiled-plan cache, DESIGN.md §10).
   // t_plan_sec covers canonicalize + (on miss) parse/rewrite/GoSN/jvar

@@ -113,11 +113,6 @@ void ThreadPool::ParallelFor(uint32_t begin, uint32_t end, uint32_t grain,
   }
 
   std::lock_guard<std::mutex> collective(collective_mu_);
-  RunCollective(begin, end, grain, fn, caller_ctx);
-}
-
-void ThreadPool::RunCollective(uint32_t begin, uint32_t end, uint32_t grain,
-                               const ChunkFn& fn, ExecContext* caller_ctx) {
   // Mirror the caller's query control onto the worker arenas for the
   // duration of this job, so chunks running on workers observe the same
   // deadline/cancel/budget state as the caller (DESIGN.md §9). The job
@@ -150,84 +145,6 @@ void ThreadPool::RunCollective(uint32_t begin, uint32_t end, uint32_t grain,
     contexts_[w]->SetQueryControl(nullptr);
   }
   if (job_error_ != nullptr) std::rethrow_exception(job_error_);
-}
-
-void ThreadPool::RunTaskGraph(const std::vector<TaskFn>& tasks,
-                              const std::vector<std::vector<uint32_t>>& waves,
-                              ExecContext* caller_ctx) {
-  if (num_workers() == 0 || InParallelRegion()) {
-    // Nothing to fan out to (or nesting would inline anyway): run the
-    // waves serially in order on the caller's arena. The region guard
-    // keeps any collective a task issues inline, matching the fanned path
-    // where tasks always run inside chunks.
-    ParallelRegionGuard region;
-    for (const std::vector<uint32_t>& wave : waves) {
-      for (uint32_t t : wave) tasks[t](caller_ctx, num_workers());
-    }
-    return;
-  }
-
-  // Hold the collective lock across every wave AND the telemetry
-  // snapshot/merge: another thread's concurrent ParallelFor on this pool
-  // would otherwise mutate the worker arenas the snapshot reads.
-  std::lock_guard<std::mutex> collective(collective_mu_);
-
-  // Snapshot the worker arenas' fold counters so their per-graph deltas
-  // can be folded back into the caller's arena after the last wave.
-  // (Chunks run on the calling thread use `caller_ctx` directly.)
-  struct FoldCounters {
-    uint64_t hits, misses, once;
-  };
-  std::vector<FoldCounters> before;
-  before.reserve(workers_.size());
-  for (size_t w = 0; w < workers_.size(); ++w) {
-    const ExecContext& c = *contexts_[w];
-    before.push_back({c.fold_cache_hits(), c.fold_cache_misses(),
-                      c.fold_once_publishes()});
-  }
-
-  // A throwing task must not skip the epilogue: RunCollective drains the
-  // wave (workers quiesce before it rethrows), then the first exception is
-  // captured here, the remaining waves are abandoned, the telemetry merge
-  // below still runs, and the exception is rethrown after it — so a failed
-  // (or cancelled) graph leaves the pool reusable and the caller's stats
-  // still account the waves that did run.
-  std::exception_ptr first_error;
-  for (const std::vector<uint32_t>& wave : waves) {
-    if (wave.empty()) continue;
-    try {
-      // Between-wave cancellation check: wave boundaries are the graph's
-      // natural barriers, so an aborted query skips whole waves.
-      if (caller_ctx != nullptr) caller_ctx->CheckCancelNow();
-      if (wave.size() == 1) {
-        // Single task: skip the fan-out machinery, mirroring ParallelFor's
-        // single-chunk inline path (same arena choice, same region guard).
-        ParallelRegionGuard region;
-        tasks[wave[0]](caller_ctx, num_workers());
-      } else {
-        RunCollective(
-            0, static_cast<uint32_t>(wave.size()), /*grain=*/1,
-            [&tasks, &wave](uint32_t begin, uint32_t end, ExecContext* ctx,
-                            int slot) {
-              for (uint32_t i = begin; i < end; ++i) tasks[wave[i]](ctx, slot);
-            },
-            caller_ctx);
-      }
-    } catch (...) {
-      first_error = std::current_exception();
-      break;
-    }
-  }
-
-  if (caller_ctx != nullptr) {
-    for (size_t w = 0; w < workers_.size(); ++w) {
-      const ExecContext& c = *contexts_[w];
-      caller_ctx->AddFoldTelemetry(c.fold_cache_hits() - before[w].hits,
-                                   c.fold_cache_misses() - before[w].misses,
-                                   c.fold_once_publishes() - before[w].once);
-    }
-  }
-  if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
 }  // namespace lbr

@@ -131,64 +131,6 @@ TEST(ThreadPoolTest, ExceptionPropagatesToCaller) {
   EXPECT_EQ(count.load(), 100);
 }
 
-TEST(ThreadPoolTest, TaskGraphThrowingTaskDoesNotDeadlock) {
-  // Regression: a task throwing mid-wave (the way a cancelled or faulted
-  // semi-join does) must drain the wave, skip the remaining waves, and
-  // rethrow on the caller — never wedge the pool. Repeated many times so a
-  // latent lost-wakeup would actually hang the test rather than slip by.
-  ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> ran{0};
-    std::vector<ThreadPool::TaskFn> tasks;
-    for (int t = 0; t < 8; ++t) {
-      tasks.push_back([&ran, t, round](ExecContext*, int) {
-        ran.fetch_add(1);
-        if (t == round % 8) {
-          throw std::runtime_error("semi-join task failure");
-        }
-      });
-    }
-    // Two waves of four; the throwing task lands in either wave.
-    std::vector<std::vector<uint32_t>> waves = {{0, 1, 2, 3}, {4, 5, 6, 7}};
-    EXPECT_THROW(pool.RunTaskGraph(tasks, waves), std::runtime_error)
-        << "round " << round;
-    // A throw abandons the rest of the throwing wave and all later waves,
-    // but every wave before it ran to completion; the thrower itself ran.
-    int expect_min = (round % 8 < 4) ? 1 : 5;
-    EXPECT_GE(ran.load(), expect_min) << "round " << round;
-    EXPECT_LE(ran.load(), 8) << "round " << round;
-  }
-  // The pool stays usable afterwards.
-  std::atomic<int> count{0};
-  pool.ParallelFor(0, 100, 10,
-                   [&](uint32_t b, uint32_t e, ExecContext*, int) {
-                     count.fetch_add(static_cast<int>(e - b));
-                   });
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, TaskGraphSingleTaskWaveThrowPropagates) {
-  // Single-task waves run inline on the caller; the same contract applies.
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  std::vector<ThreadPool::TaskFn> tasks = {
-      [&](ExecContext*, int) { ran.fetch_add(1); },
-      [&](ExecContext*, int) {
-        ran.fetch_add(1);
-        throw std::runtime_error("inline task failure");
-      },
-      [&](ExecContext*, int) { ran.fetch_add(1); },
-  };
-  std::vector<std::vector<uint32_t>> waves = {{0}, {1}, {2}};
-  EXPECT_THROW(pool.RunTaskGraph(tasks, waves), std::runtime_error);
-  EXPECT_EQ(ran.load(), 2);  // wave 3 abandoned
-  std::atomic<int> count{0};
-  pool.ParallelFor(0, 60, 6, [&](uint32_t b, uint32_t e, ExecContext*, int) {
-    count.fetch_add(static_cast<int>(e - b));
-  });
-  EXPECT_EQ(count.load(), 60);
-}
-
 TEST(ThreadPoolTest, ReusableAcrossManyCollectives) {
   ThreadPool pool(3);
   for (int round = 0; round < 50; ++round) {
